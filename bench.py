@@ -28,9 +28,9 @@ N_EVENTS = int(os.environ.get("GRAFT_EVENTS", "8000000"))
 #: --scaling uses a bigger replay so fixed per-job costs (worker spawn,
 #: scheduling) don't mask the compute scaling being measured
 N_EVENTS_SCALING = int(os.environ.get("GRAFT_EVENTS_SCALING", "16000000"))
-#: sustained-scaling workload: big enough that the merger actors' bounded-
-#: memory compaction cycles engage (the honest steady-state number —
-#: round-1 verdict item 9); one run per level (≈6 GB log, shared input)
+#: sustained-scaling workload: a long replay so the rate is the steady-state
+#: one, not warm-up (round-1 verdict item 9); one run per level (≈6 GB log,
+#: shared input)
 N_EVENTS_SUSTAINED = int(os.environ.get("GRAFT_EVENTS_SUSTAINED", "64000000"))
 HEADLINE_ONLY = os.environ.get("GRAFT_BENCH_ONLY", "") == "headline"
 
@@ -67,9 +67,6 @@ def run_bench() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
-    # push-based sort shuffle measured fastest here (hash_shuffle's actor
-    # aggregators lose on a single node; see BASELINE.md bench notes)
-    ctx.shuffle_strategy = "sort_shuffle_push_based"
 
     import numpy as np
     import pyarrow.parquet as pq
@@ -219,7 +216,7 @@ def run_bench() -> dict:
     sec, _ = timed_best2(lambda: q_sparql_star_nation(SF_DIR).num_rows)
     queries["sparql_star_nation"] = sec
 
-    # general large×large equi-join over the presorted exchange
+    # general large×large equi-join over the pid-clustered exchange
     from etl_pipeline_rdf_star_ray.stages.join import hash_join_sharded
 
     sec, _ = timed_best2(

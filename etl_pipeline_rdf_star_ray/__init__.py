@@ -10,8 +10,8 @@ and a checkpoint manifest.
 
 Execution is `ray.data.Dataset` streaming throughout: zero-copy
 ``map_batches(batch_format="pyarrow")`` for per-batch transforms, hash
-partitioning on ``conv_id`` (salted for hot conversations), and
-``groupby(partition_id).map_groups`` for the per-partition merge+commit.
+partitioning on ``conv_id`` (salted for hot conversations), and the block
+exchange (``stages/exchange.py``) for the per-partition merge+commit.
 
 See SURVEY.md for the structural analysis of the reference and the build plan.
 """

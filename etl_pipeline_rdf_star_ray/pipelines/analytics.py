@@ -30,7 +30,7 @@ def _cents(col) -> pa.Array:
 
 def _group_key_hash(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
     """uint64 hash of a (possibly composite) group key — the shard key for
-    the exchange-backed final combine (``dedup.sharded_groups``). Ray's
+    the exchange-backed final combine (``exchange.sharded_groups``). Ray's
     sort-based ``groupby().aggregate()`` pays ~3 s of fixed shuffle cost at
     any size on this node (round-3 profile); the partial rows these
     finishes move are tiny, so the combine now rides the same block
@@ -58,7 +58,7 @@ def _sum_partials(
     partial rows grouped by ``key_cols``, each ``sum_cols`` summed — one
     implementation so dtype/empty-shard fixes land once (second review
     pass extracted the third copy)."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def combine(s: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -121,7 +121,7 @@ def _pricing_finest(sf_dir: str, cutoff: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def combine(shard: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -274,7 +274,7 @@ def top_customers_by_revenue(sf_dir: str, *, k: int = 10) -> pa.Table:
         g = df.groupby("o_custkey", sort=False)["total_c"].sum().reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def shard_topk(s: pd.DataFrame) -> pd.DataFrame:
         g = s.groupby("o_custkey", sort=False).agg(total_c=("total_c", "sum")).reset_index()
@@ -330,7 +330,7 @@ def top_orders(sf_dir: str, *, k: int = 10) -> "rd.Dataset":
 def event_type_counts(sf_dir: str) -> "rd.Dataset":
     """Distinct event types with counts: per-batch value_counts partials,
     exchange-backed combine — only (type, partial_n) rows move."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def partial(batch: pa.Table) -> pa.Table:
         vc = batch.column("event_type").combine_chunks().value_counts()
@@ -393,7 +393,7 @@ def user_sessions(sf_dir: str, *, gap_minutes: int = 30, num_shards: int = 64) -
     per SHARD sessionizes every user of the shard in a single vectorized
     pandas pass (`_sessionize`). No per-user Python calls (round-1 verdict
     fix)."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     gap = np.timedelta64(gap_minutes * 60, "s")
 
@@ -420,7 +420,7 @@ def session_intervals(
     — same sharded sessionization as :func:`user_sessions` (shared
     `_sessionize` boundaries), emitting the interval table (the broadcast
     side of the event→session range join)."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     gap = np.timedelta64(gap_minutes * 60, "s")
 
@@ -509,7 +509,7 @@ def conv_stats(state: "rd.Dataset") -> "rd.Dataset":
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     per_role = sharded_groups(
         state.map_batches(per_role_partial, batch_format="pyarrow"),
@@ -569,7 +569,7 @@ def turn_gaps(state: "rd.Dataset", *, num_shards: int = 64) -> "rd.Dataset":
     :func:`user_sessions`. Output: ``(conv_id, turn_idx, gap_us)``."""
     from ..functions.hashing import xxh64_column
 
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -620,7 +620,7 @@ def tool_transitions(state: "rd.Dataset", *, num_shards: int = 64) -> "rd.Datase
     (≤ |tools|² rows per shard) combines the partials.
 
     Output: ``(prev_tool, tool, n_calls, n_convs)``."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import xxh64_column
 
     def only_tools(batch: pa.Table) -> pa.Table:
@@ -689,7 +689,7 @@ def scrub_repeated_turns(
     operator is a strict filter (no new columns, schema preserved).
 
     Output: ``(conv_id, turn_idx, role, text)`` — the surviving turns."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import xxh64_column
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -775,7 +775,7 @@ def events_sliding(
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     per_user = sharded_groups(
         ds.map_batches(per_user_partial, batch_format="pyarrow"),
@@ -840,7 +840,7 @@ def conv_role_patterns(
     once; the second exchange moves pattern rows only.
 
     Output: ``(pattern, n_convs)``."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import xxh64_column
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -895,7 +895,7 @@ def _hist_group_stats(sf_dir: str, names: list[str], group_stat):
     then one shard task per group hash calls ``group_stat(vals, cnt, cum,
     n)`` with the value-sorted histogram arrays and emits the named int64
     stat columns."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import xxh64_column
 
     hist = _event_value_hist(sf_dir)
@@ -949,7 +949,7 @@ def _event_value_hist(sf_dir: str) -> "rd.Dataset":
     and continuous grouped-quantile operators: per-batch histogram partials
     (each batch collapses before the shuffle), one combine over the
     exchange — histogram rows move, data rows never do."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
@@ -1118,7 +1118,7 @@ def funnel_depth(
     in the output (filtering funnel types at the read would drop them).
     Output: ``(user_id, depth)`` for every user with ≥1 event of any kind
     (depth 0 = never entered)."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import key_hash_column
 
     ds = read_parquet_clean(
@@ -1181,7 +1181,7 @@ def cohort_retention(
     in one shard, so per-cell distinct-user partials sum exactly — and a
     tiny cell-hash exchange totals them. Events before the signup week
     (negative offset) are excluded like the SQL filter."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import key_hash_column
 
     WEEK_US = np.int64(604_800_000_000)
@@ -1289,7 +1289,7 @@ def pivot_counts(
             wide.reset_index(), preserve_index=False
         ).replace_schema_metadata(None)
 
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     return sharded_groups(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -1381,7 +1381,7 @@ def table_profile(
     the int64 domain, ``cents`` the exact ×100 integer domain, ``str`` the
     bytewise string domain — min/max render as canonical VARCHAR exactly
     like the SQL oracle's CAST."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     names = [c for c, _ in columns]
     kinds = dict(columns)
@@ -1744,7 +1744,7 @@ def active_users_sliding(
     active-day domain.
 
     Output: ``(day, n_users)`` for every active day."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import key_hash_column
 
     DAY_US = np.int64(86_400_000_000)
@@ -1844,7 +1844,7 @@ def user_diversity(sf_dir: str, *, num_shards: int = 64) -> "rd.Dataset":
     counts, ONE user-hash exchange; each shard finishes its users exactly
     (a user lives in one shard). Output: ``(user_id, n_events, n_types,
     simpson)``."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
     from ..functions.hashing import key_hash_column
 
     ds = read_parquet_clean(
@@ -1942,7 +1942,7 @@ def key_skew_profile(
     ≤ k·shards survivor rows plus per-shard totals — never the key
     domain. Ties break deterministically by (count desc, key asc) on both
     sides."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     ds = read_parquet_clean(f"{sf_dir}/{table}.parquet", columns=[col])
 
@@ -2018,7 +2018,7 @@ def ohlc_bars(sf_dir: str, *, num_shards: int = 64) -> "rd.Dataset":
     rows drop like the SQL oracle's WHERE.
 
     Output: ``(event_type, hour, open_c, high_c, low_c, close_c, n)``."""
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet",

@@ -2,9 +2,10 @@
 Parquet lake commit, with checkpoint/resume.
 
 Ray-Data lifecycle (SURVEY.md §3.4): the change log streams through a
-stateless partition+watermark ``map_batches`` stage, hash-shuffles once on
-``partition_id`` (``groupby``), and each partition group merges with its
-current lake version and commits durably *inside the worker task* — only tiny
+stateless partition+watermark ``map_batches`` stage that pid-clusters each
+block, the block exchange (``stages/exchange.py``) routes the blocks' runs
+by ``partition_id`` driver-side, and each partition merges with its current
+lake version and commits durably *inside the worker task* — only tiny
 manifest rows return to the driver. No stage materializes the full dataset.
 
 Replacing (not porting) the reference loop ``batch_cli.py:36-87`` +
@@ -21,15 +22,13 @@ import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..schema import MANIFEST_SCHEMA
-from ..stages.merge import merge_state_and_events
+from ..stages import exchange
 from ..stages.partition import detect_hot_convs, make_partition_stage
 from ..state import manifest as mf
 from ..state.lake import read_state, state_table  # noqa: F401  (re-export)
-from ..state.sink import commit_partition
 
 
 def _manifest_table(recs: list[mf.CommitRecord]) -> pa.Table:
@@ -45,8 +44,6 @@ def ingest(
     num_partitions: int = 64,
     salt_buckets: int = 8,
     hot_convs: list[str] | str = "auto",
-    coalesce_blocks: int | None = None,
-    method: str = "exchange",
     transport: str = "auto",
 ) -> pa.Table:
     """Apply one micro-batch of change events to the lake table.
@@ -55,17 +52,10 @@ def ingest(
     Safe to re-run with the same input: the watermark filter drops all
     already-committed events and nothing is rewritten.
 
-    ``method``: ``"exchange"`` (default) streams batches through the merger
-    actor pool (``stages/exchange.py``) — no sort, near-linear scaling;
-    ``"shuffle"`` uses ``groupby(partition_id).map_groups`` (simpler, but
-    Ray's sort shuffle has a serial phase that caps throughput ~450k
-    events/s on this node regardless of CPUs — BASELINE.md).
-
-    ``coalesce_blocks``: shuffle cost scales with map-side block COUNT, not
-    bytes — a log read as hundreds of tiny blocks pays quadratic slice
-    fan-out in the sort shuffle. Coalescing to ~num_cpus blocks before the
-    shuffle cut wall time 5× at 2M events (BENCH notes); size blocks toward
-    ``DataContext.target_max_block_size`` at real scale instead.
+    The partitioned log goes through the block exchange
+    (``stages/exchange.exchange_ingest``): no sort shuffle, one
+    merge+commit task per touched partition. ``transport`` picks its data
+    plane (``"auto"``: ranges on one node, slice objects on several).
     """
     default_meta = mf.TableMeta(
         num_partitions=num_partitions, salt_buckets=salt_buckets
@@ -87,71 +77,27 @@ def ingest(
     if batch_id is None:
         batch_id = f"ingest-{max(wm.values(), default=-1) + 1:020d}"
 
-    exchange = method == "exchange"
     stage = make_partition_stage(
         num_partitions=meta.num_partitions,
         salt_buckets=meta.salt_buckets,
         hot_convs=frozenset(meta.hot_convs),
         watermarks=wm,
         key_hash=meta.key_hash,
-        # exchange path: pid-sort inside the fused read→partition task so
-        # each event hits the object store exactly once (no clustering copy)
-        sort_output=exchange,
     )
-    if coalesce_blocks:
-        changelog = changelog.repartition(coalesce_blocks)
     partitioned = changelog.map_batches(
-        # whole-block batches: one pid-sorted run per block, so the
-        # exchange routes O(partitions) slices per block instead of
+        # whole-block batches: one pid-clustered run per (block, pid), so
+        # the exchange routes O(partitions) slices per block instead of
         # O(partitions x sub-batches)
         stage, batch_format="pyarrow", batch_size=None
     )
-
-    if exchange:
-        from ..stages.exchange import exchange_ingest
-
-        recs = exchange_ingest(
-            partitioned,
-            lake_dir,
-            batch_id=batch_id,
-            num_partitions=meta.num_partitions,
-            active_files=active,
-            presorted=True,
-            transport=transport,
-        )
-        return _manifest_table([mf.CommitRecord(**r) for r in recs])
-
-    def merge_commit(group: pa.Table) -> pa.Table:
-        t0 = time.monotonic()
-        if group.num_rows == 0:
-            return _manifest_table([])
-        pid = group.column("partition_id")[0].as_py()
-        state = None
-        prior = active.get(pid)
-        if prior is not None:
-            state = pq.read_table(prior)
-        new_state = merge_state_and_events(state, group)
-        lsns = group.column("lsn")
-        rec = commit_partition(
-            new_state,
-            lake_dir=lake_dir,
-            partition_id=pid,
-            batch_id=batch_id,
-            lsn_lo=pc.min(lsns).as_py(),
-            lsn_hi=pc.max(lsns).as_py(),
-            event_count=group.num_rows,
-            wall_start=t0,
-        )
-        return _manifest_table([rec])
-
-    result = partitioned.groupby("partition_id").map_groups(
-        merge_commit, batch_format="pyarrow"
+    recs = exchange.exchange_ingest(
+        partitioned,
+        lake_dir,
+        batch_id=batch_id,
+        active_files=active,
+        transport=transport,
     )
-    # manifest rows: one per touched partition — tiny, safe to materialize
-    batches = result.take_all()
-    if not batches:
-        return _manifest_table([])
-    return pa.Table.from_pylist(batches, schema=MANIFEST_SCHEMA)
+    return _manifest_table([mf.CommitRecord(**r) for r in recs])
 
 
 def replay(
@@ -183,43 +129,19 @@ def upsert_dataset(
     num_partitions: int = 64,
     salt_buckets: int = 8,
     hot_convs: list[str] | None = None,
-    method: str = "exchange",
 ) -> "rd.Dataset":
     """Pure streaming upsert with no durable sink: change log → final table
     state as a Dataset (used by queries and as the in-memory flagship path).
-
-    ``method="exchange"`` (default) routes through the block exchange —
-    same scale shape as :func:`ingest`, minus the lake; ``"shuffle"`` keeps
-    the fully-lazy ``groupby().map_groups`` plan (simpler, but Ray's sort
-    shuffle has the documented serial phase — BASELINE.md)."""
-    from ..stages.merge import lww_merge
-
-    hot = frozenset(hot_convs or [])
-    exchange = method == "exchange"
+    Same block exchange as :func:`ingest`, minus the lake."""
     stage = make_partition_stage(
         num_partitions=num_partitions,
         salt_buckets=salt_buckets,
-        hot_convs=hot,
-        sort_output=exchange,
+        hot_convs=frozenset(hot_convs or []),
     )
     partitioned = changelog.map_batches(
-        # whole-block batches: one pid-sorted run per block, so the
-        # exchange routes O(partitions) slices per block instead of
-        # O(partitions x sub-batches)
         stage, batch_format="pyarrow", batch_size=None
     )
-
-    if exchange:
-        from ..stages.exchange import exchange_upsert
-
-        return exchange_upsert(partitioned, presorted=True)
-
-    def merge_group(group: pa.Table) -> pa.Table:
-        return lww_merge(group).drop_columns(["op", "partition_id"])
-
-    return partitioned.groupby("partition_id").map_groups(
-        merge_group, batch_format="pyarrow"
-    )
+    return exchange.exchange_upsert(partitioned)
 
 
 def tail_once(log_dir: str, lake_dir: str, **ingest_kw) -> pa.Table:

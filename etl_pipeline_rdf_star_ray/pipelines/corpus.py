@@ -86,7 +86,7 @@ def cc_label_propagation(
     Raises if not converged within ``max_rounds``."""
 
     from ..stages.join import hash_join_sharded
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def bidirect(batch: pa.Table) -> pa.Table:
         fwd = pa.table(
@@ -358,7 +358,7 @@ def top_terms(
         )
 
     from ..functions.hashing import xxh64_column
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def shard_topk(s: pd.DataFrame) -> pd.DataFrame:
         g = s.groupby("token", sort=False)["n"].sum().reset_index()
@@ -418,7 +418,7 @@ def tfidf_topk_terms(
     a single execution of the upstream plan (spillable object-store blocks,
     same remedy the embedding near-dup path uses)."""
     from ..functions.hashing import key_hash_column, xxh64_column
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     if n_docs is None:
         docs = docs.materialize()  # count + tokenize share one execution
@@ -663,7 +663,7 @@ def token_frequency_stats(
     import ray
 
     from ..functions.hashing import xxh64_column
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     docs = docs.materialize()
 
@@ -779,7 +779,7 @@ def flatten_conversations(
         return out[["conv_id", "n_turns", "doc"]]
 
     pruned = state.select_columns(["conv_id", "turn_idx", "role", "text"])
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     return sharded_groups(
         pruned,
@@ -807,7 +807,7 @@ def sft_messages(
     import json
 
     from ..functions.hashing import xxh64_column
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -1028,7 +1028,7 @@ def stratified_split(
     OVER (PARTITION BY g ORDER BY md5(CAST(id AS VARCHAR)), id)`` against
     the same floor boundaries. Output: ``(id, group, split)``."""
     from ..functions.hashing import md5_hex_column
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     pairs = list(splits or DEFAULT_SPLITS)
     labels = [lab for lab, _w in pairs]

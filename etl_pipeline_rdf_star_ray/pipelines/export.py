@@ -132,7 +132,7 @@ def export_jsonl(
 
     from ..functions.hashing import key_hash_column
     from ..state.commitfs import PosixCommitFS
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     fs = fs or PosixCommitFS()
     os.makedirs(root, exist_ok=True)
@@ -215,7 +215,7 @@ def write_partitioned(
     never one giant file, never rewrite finished work).
 
     Scale shape: partition values are hash-colocated over the block
-    exchange (``dedup.sharded_groups``), ONE task per shard writes all its
+    exchange (``exchange.sharded_groups``), ONE task per shard writes all its
     partitions' files. Returns manifest rows
     ``(partition, path, rows, skipped)`` — tiny, driver-side."""
     import json
@@ -223,7 +223,7 @@ def write_partitioned(
 
     from ..functions.hashing import key_hash_column
     from ..state.commitfs import PosixCommitFS
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     fs = fs or PosixCommitFS()
 

@@ -145,8 +145,8 @@ def value_history(changelog: "rd.Dataset", *, num_partitions: int = 64) -> "rd.D
     Rides the block exchange: the partition stage pid-sorts each block in
     the fused read task, ``exchange_apply`` routes block slices by
     ``partition_id`` driver-side, and one task per partition runs the
-    vectorized pandas aggregation (round-3: replaced the sort-based
-    ``groupby(partition_id).map_groups`` and its ~3 s fixed shuffle)."""
+    vectorized pandas aggregation (round-3: replaced a Ray sort-shuffle
+    groupby and its ~3 s fixed cost)."""
     from ..stages.exchange import exchange_apply
     from ..stages.partition import make_partition_stage
 
@@ -154,7 +154,6 @@ def value_history(changelog: "rd.Dataset", *, num_partitions: int = 64) -> "rd.D
         num_partitions=num_partitions,
         salt_buckets=1,
         hot_convs=frozenset(),
-        sort_output=True,
     )
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -179,7 +178,7 @@ def value_history(changelog: "rd.Dataset", *, num_partitions: int = 64) -> "rd.D
         out["n_versions"] = out["n_versions"].astype("int64")
         out["n_changes"] = out["n_changes"].astype("int64")
         # Arrow output: pandas blocks have unhashable schemas and trip Ray's
-        # schema-dedup warnings (see dedup.sharded_groups)
+        # schema-dedup warnings (see exchange.sharded_groups)
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
             None
         )
@@ -188,9 +187,7 @@ def value_history(changelog: "rd.Dataset", *, num_partitions: int = 64) -> "rd.D
         # whole-block batches: one pid-sorted run per block (exchange-ready)
         stage, batch_format="pyarrow", batch_size=None
     )
-    return exchange_apply(
-        partitioned, lambda t: per_partition(t.to_pandas()), presorted=True
-    )
+    return exchange_apply(partitioned, lambda t: per_partition(t.to_pandas()))
 
 
 def scd2_intervals(
@@ -217,7 +214,6 @@ def scd2_intervals(
         num_partitions=num_partitions,
         salt_buckets=1,
         hot_convs=frozenset(),
-        sort_output=True,
     )
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -253,9 +249,7 @@ def scd2_intervals(
     partitioned = changelog.map_batches(
         stage, batch_format="pyarrow", batch_size=None
     )
-    return exchange_apply(
-        partitioned, lambda t: per_partition(t.to_pandas()), presorted=True
-    )
+    return exchange_apply(partitioned, lambda t: per_partition(t.to_pandas()))
 
 
 def compact(lake_dir: str, *, batch_id: str | None = None) -> int:

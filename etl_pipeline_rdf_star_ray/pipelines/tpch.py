@@ -250,7 +250,7 @@ def q10_returned_item_revenue(
     the customer dimension columns, and nation is a 25-row driver-side
     map — no dimension broadcast, no global sort."""
     from ..stages.join import hash_join_sharded
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     lo = pa.scalar(np.datetime64(date_lo, "us"))
     hi = pa.scalar(np.datetime64(date_hi, "us"))

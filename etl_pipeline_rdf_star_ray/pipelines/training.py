@@ -77,7 +77,7 @@ def training_pairs(
     shard pass is ``k`` vectorized grouped shifts — never a Python loop
     over turns."""
     from ..functions.hashing import xxh64_column
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     if k <= 0:
         raise ValueError("k must be positive")
@@ -276,7 +276,7 @@ def pack_items(
             }
         )
 
-    out = exchange_apply(tagged, pack_shard, presorted=True)
+    out = exchange_apply(tagged, pack_shard)
     if out.count() == 0:
         # zero-row exchange output carries no schema; pin the declared one
         return _empty()
@@ -327,7 +327,7 @@ def conversation_weights(
     the shuffle carries at most blocks × distinct-convs tiny rows; one
     task per shard folds the partials."""
     from ..functions.hashing import xxh64_column
-    from .dedup import sharded_groups
+    from ..stages.exchange import sharded_groups
 
     def combine(batch: pa.Table) -> pa.Table:
         text = batch.column(text_col)

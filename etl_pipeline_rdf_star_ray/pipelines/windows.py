@@ -1,7 +1,7 @@
 """Grouped window operators: per-group top-k (ranking), running cumulative
 aggregates, stratified deterministic sampling.
 
-All three ride the hash-sharded-group plane (``dedup.sharded_groups`` over
+All three ride the hash-sharded-group plane (``exchange.sharded_groups`` over
 the block exchange): groups are colocated by key hash, ONE task per shard
 does the window work for every group of the shard in a single vectorized
 pandas pass — no per-group task, no sort shuffle. The only rows that move
@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd  # noqa: F401  (type refs in docstrings)
 
-from .dedup import pandas_block_apply, sharded_groups
+from ..stages.exchange import pandas_block_apply, sharded_groups
 
 
 def _key_hash(batch: pa.Table, cols: list[str]) -> np.ndarray:
@@ -595,5 +595,5 @@ def ntile_global(
             out_col, pa.array(bucket + 1, pa.int64())  # ntile is 1-based
         )
 
-    out = exchange_apply(tagged, bucket_shard, presorted=True)
+    out = exchange_apply(tagged, bucket_shard)
     return out

@@ -2617,7 +2617,7 @@ def q_hll_user_counts(sf_dir: str):
 
     from .functions.sketch import hll_distinct_grouped
     from .pipelines.analytics import _group_key_hash
-    from .pipelines.dedup import sharded_groups
+    from .stages.exchange import sharded_groups
 
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
@@ -3665,7 +3665,7 @@ def q_join_composite_groupsize(sf_dir: str):
             None
         )
 
-    from .pipelines.dedup import sharded_groups
+    from .stages.exchange import sharded_groups
 
     counts = sharded_groups(
         docs.map_batches(partial, batch_format="pyarrow"),

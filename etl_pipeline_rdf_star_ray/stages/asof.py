@@ -19,7 +19,7 @@ brief's named custom operators for large-scale pipelines, built two ways:
   datasets into a common schema, hash-shard on the key, and run pandas
   ``merge_asof`` (C merge over sorted frames) once per shard — one task
   per shard regardless of key count, the same sharded-group shape as
-  ``pipelines/dedup.sharded_groups``. Partitioning assumption: a single
+  ``stages/exchange.sharded_groups``. Partitioning assumption: a single
   key's history + events fit one shard (keys are hash-spread; a skewed
   key needs salting upstream like the CDC path).
 
@@ -36,7 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import shard_column
-from .exchange import exchange_apply
+from .exchange import cluster_by_pid, exchange_apply
 
 
 def _temporal_i64(col, target_type=None) -> np.ndarray:
@@ -164,6 +164,9 @@ def asof_join_broadcast(
                 pos = lo + np.searchsorted(ons[lo:hi], bt[rows], side="left")
                 pos[pos >= hi] = -1
             match[rows] = pos
+        # SQL: a NULL left ``on`` compares with nothing (NaN would sort
+        # past every right row and match the key's latest one)
+        match[pc.is_null(batch.column(on)).to_numpy(zero_copy_only=False)] = -1
         out, _found = _attach_values(batch, vals, match, value_cols)
         return out
 
@@ -207,7 +210,7 @@ def asof_join_sharded(
             cols[c] = pa.nulls(batch.num_rows, vtypes[c])
         cols["partition_id"] = _shard_col(batch.column(by))
         cols["__side"] = pa.nulls(batch.num_rows, pa.int8()).fill_null(0)
-        return pa.table(cols)
+        return cluster_by_pid(pa.table(cols))
 
     def tag_right(batch: pa.Table) -> pa.Table:
         renames = {right_by: by, right_on: on}
@@ -221,24 +224,33 @@ def asof_join_sharded(
             cols[c] = src[c]
         cols["partition_id"] = _shard_col(src[by])
         cols["__side"] = pa.nulls(batch.num_rows, pa.int8()).fill_null(1)
-        return pa.table(cols)
+        return cluster_by_pid(pa.table(cols))
 
     unioned = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
 
     def join_shard(g: pd.DataFrame) -> pd.DataFrame:
+        # SQL: a NULL ``on`` matches nothing — right rows drop, left rows
+        # pass through with NULL values (merge_asof rejects NULL keys)
         lf = g[g["__side"] == 0].drop(columns=["__side", "partition_id", *value_cols])
+        l_null = lf[on].isna()
         rf = (
-            g[g["__side"] == 1]
+            g[(g["__side"] == 1) & g[on].notna()]
             .sort_values([by, on, tiebreak])
             .drop_duplicates([by, on], keep="last")[[by, on, *value_cols]]
         )
-        lf = lf.sort_values(on, kind="mergesort")
+        lf_valid = lf[~l_null].sort_values(on, kind="mergesort")
         rf = rf.sort_values(on, kind="mergesort")
-        return pd.merge_asof(
-            lf, rf, on=on, by=by, direction="backward", allow_exact_matches=True
+        out = pd.merge_asof(
+            lf_valid, rf, on=on, by=by, direction="backward",
+            allow_exact_matches=True,
         )
+        if l_null.any():
+            out = pd.concat(
+                [out, lf[l_null].reindex(columns=out.columns)], ignore_index=True
+            )
+        return out
 
     def run(t: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(

@@ -1,56 +1,53 @@
-"""Block-exchange CDC ingest — the scale path for the upsert.
+"""Block exchange — the one way rows reach a per-partition task.
 
-Why not ``groupby(partition_id).map_groups``: measured on this node, Ray
-Data's sort-based shuffle of the change log tops out near ~450k events/s
-REGARDLESS of CPU count (a serial merge phase dominates; 8→32 CPUs gave only
-1.4× — BASELINE.md bench notes).
+Every grouped operator (the CDC ingest and upsert, sharded groups, joins,
+range sorts) tags its rows with an int32 ``partition_id`` and hands the
+tagged dataset here. The exchange streams the dataset's OWN block refs on
+the driver (``iter_internal_ref_bundles`` — metadata only, no rows touch
+the driver), asks a ``num_cpus=0`` :func:`_block_ranges` task per block
+for its ``(pid, start, len)`` runs, and records ``{pid: [(ref, start,
+len)]}`` routing metadata driver-side. When the stream ends, one task per
+partition consumes its slices ZERO-COPY from plasma.
 
-The exchange instead streams the partitioned dataset's OWN block refs on the
-driver (``iter_internal_ref_bundles`` — metadata only, no rows touch the
-driver), fans each block out to a ``_cluster_block`` task that pid-sorts it
-(one argsort + one take, returned directly to the object store — the only
-copy the exchange ever makes), and records ``{pid: [(ref, start, len)]}``
-routing metadata driver-side. When the stream ends, one merge+commit task
-per partition consumes its slices ZERO-COPY from plasma.
+**Block-layout rule: every block is pid-clustered runs.** Producers call
+:func:`cluster_by_pid` on each output batch (a stable argsort by
+``partition_id``, skipped when the batch is already clustered), inside the
+map task that builds the batch — so each row is materialized into the
+object store exactly once, and a pid owns one run per producer batch.
+Routing never depends on the rule for correctness (:func:`_block_ranges`
+is run-aware and the row-conservation check in :func:`_route` holds for
+any layout); a producer that forgets to cluster stays correct but fans in
+one slice per ROW instead of one per batch.
 
-This is the third evolution of the exchange, each driven by a measured
-bottleneck (BASELINE.md round-2 notes):
+Why not a Ray Data ``groupby`` on ``partition_id``: on one 32-CPU node Ray
+Data's sort-based shuffle of the change log topped out near ~450k events/s
+REGARDLESS of CPU count (a serial merge phase dominates; 8→32 CPUs gave
+only 1.4× — BASELINE.md bench notes), and it costs ~3 s fixed at any input
+size for small grouped operators.
 
-1. buffer actors holding deserialized tables with in-stream sort-compaction
-   → the compaction blocked slot-holding producers and collapsed low-CPU
-   sustained throughput ~5×;
-2. actors holding per-pid ``ray.put`` refs → fixed buffering, but the
-   router's take+put double copy and the per-(block, actor) RPC convoy
-   capped 32-CPU streaming at ~2× the 8-CPU rate;
-3. (current) no actors, no router stage, no extra copy: every byte of event
-   data is copied exactly once after decode (the cluster task's take), all
-   compute runs in CPU-slotted Ray tasks, and the driver handles only refs
-   and range metadata.
-
-Multi-node data plane: a pid-sorted block holds runs for ~every partition,
+Multi-node data plane: a clustered block holds runs for ~every partition,
 so with range routing every merge node would fetch (almost) every block —
 ≈ N_nodes × data bytes over the network. ``transport="slices"`` (the
 ``auto`` default whenever the cluster has >1 node) therefore rewrites the
-exchange's data plane: a node-local task compacts each partition's rows of
-each block into its own object (one extra LOCAL copy), and the network then
-carries each partition's bytes exactly once to its merge task — the same
-byte volume as a textbook shuffle, still with zero driver involvement.
-Single-node keeps ``transport="ranges"``: zero extra copies, merges slice
-the producer blocks via plasma mmap. Memory is bounded by Ray's native
-object spilling in both modes.
+exchange's data plane: a node-local task compacts each destination node's
+rows of each block into its own object (one extra LOCAL copy), and the
+network then carries each partition's bytes exactly once to its merge
+task. Single-node keeps ``transport="ranges"``: zero extra copies, merges
+slice the producer blocks via plasma mmap. Memory is bounded by Ray's
+native object spilling in both modes.
 
 Correctness properties:
 
-- **Exactly-once sink**: merge tasks funnel into the same marker-idempotent
-  ``commit_partition`` as the shuffle path; re-running an ingest with the
-  same batch id skips committed partitions via markers, and the watermark
-  filter upstream drops already-committed events entirely.
+- **Exactly-once sink**: merge tasks funnel into the marker-idempotent
+  ``commit_partition``; re-running an ingest with the same batch id skips
+  committed partitions via markers, and the watermark filter upstream
+  drops already-committed events entirely.
 - **Out-of-order arrival**: the per-partition LWW merge is order-independent
   (argmax lsn per key, tombstones applied against prior lake state).
-- **Failure recovery**: a lost block/cluster object before its merge task
-  consumes it fails the ingest; a re-run resumes from the per-partition
-  watermarks, re-streaming exactly the uncommitted events. A crash between
-  two partition commits of the same batch is the normal resume case.
+- **Failure recovery**: a lost block object before its merge task consumes
+  it fails the ingest; a re-run resumes from the per-partition watermarks,
+  re-streaming exactly the uncommitted events. A crash between two
+  partition commits of the same batch is the normal resume case.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -65,72 +63,30 @@ import ray
 
 from ..functions.hashing import splitmix64
 from ..schema import concat_evolving
-from ..stages.merge import merge_state_and_events
 from ..state.sink import commit_partition
+from .merge import lww_merge, merge_state_and_events
 
 
-def _chunk_id(pid: int, lsns: np.ndarray) -> int:
-    """Deterministic, order-independent content id of one event chunk
-    (retry-dedup key for PUSH-style transports; the block exchange itself
-    no longer needs it, but external streaming integrations do).
-
-    Combines XOR with a wrapping mod-2^64 SUM of the per-lsn hashes: XOR
-    alone cancels duplicate lsn values pairwise (a changelog from an external
-    CDC source need not have unique lsns), so two distinct same-length chunks
-    could collide and the second be dropped as a retry duplicate (round-1
-    ADVICE). The sum breaks multiset cancellation."""
-    hs = splitmix64(lsns.astype(np.uint64))
-    x = np.bitwise_xor.reduce(hs)
-    s = np.add.reduce(hs)  # uint64 wraps mod 2^64 by design
-    return int(
-        splitmix64(np.uint64(x) ^ splitmix64(np.uint64(s)))
-        ^ splitmix64(np.uint64(pid) ^ np.uint64(len(lsns)))
-    )
+def cluster_by_pid(t: pa.Table) -> pa.Table:
+    """The exchange's block-layout rule for one producer batch: stable-sort
+    ``t`` by its ``partition_id`` column so every pid is one contiguous
+    run. Returns ``t`` itself (no copy) when it is already clustered."""
+    pid = t.column("partition_id").to_numpy()
+    if not np.any(np.diff(pid) < 0):
+        return t
+    return t.take(pa.array(np.argsort(pid, kind="stable")))
 
 
-@ray.remote(num_cpus=1, num_returns=2)
-def _cluster_block(block: pa.Table):
-    """Sort one block by partition id. Returns ``(ranges, table)`` as TWO
-    objects: the small ``{pid: (start, len)}`` dict goes to the driver for
-    routing; the clustered table stays in the object store untouched until
-    a merge task slices it zero-copy.
+def _pid_runs(block: pa.Table) -> list:
+    """``[(pid, start, len), ...]`` — one entry per contiguous
+    ``partition_id`` run of ``block``, read zero-copy from the object
+    store.
 
-    Fallback path for blocks NOT produced by a ``sort_output=True``
-    partition stage; the zero-copy fast path is :func:`_block_ranges`."""
-    if len(block) == 0:  # format-agnostic: Ray passes empty blocks through
-        return {}, block
-    pids = block.column("partition_id").combine_chunks().to_numpy(
-        zero_copy_only=False
-    )
-    order = np.argsort(pids, kind="stable")
-    t = block.take(pa.array(order))
-    sorted_pids = pids[order]
-    bounds = np.flatnonzero(np.diff(sorted_pids)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(sorted_pids)]])
-    ranges = {
-        int(sorted_pids[s]): (int(s), int(e - s)) for s, e in zip(starts, ends)
-    }
-    return ranges, t
-
-
-@ray.remote(num_cpus=0)
-def _block_ranges(block: pa.Table) -> list:
-    """Metadata-only routing for a block of pid-CLUSTERED runs (partition
-    stage built with ``sort_output=True``): reads just the int32
-    ``partition_id`` column zero-copy from the object store and returns
-    ``[(pid, start, len), ...]`` — one entry per contiguous run. The block
-    itself is never copied, so the exchange materializes each event into
-    plasma exactly once (the fused read→partition task's output).
-
-    Run-aware on purpose: ``map_batches`` may feed the stage in sub-block
-    batches and concatenate the sorted outputs, so a block is a sequence of
-    sorted RUNS, not one globally sorted span — the same pid can own
-    multiple runs. (A dict keyed by pid here silently dropped all but the
-    last run — caught by the bench's lake row count, now pinned by
-    ``test_block_ranges_covers_multi_run_blocks``.) ``num_cpus=0``:
-    microseconds of work, must not compete with read/merge tasks for
-    slots."""
+    Run-aware on purpose: a map output block may concatenate several
+    producer batches, so a block is a sequence of clustered RUNS and the
+    same pid can own multiple runs. (A dict keyed by pid here silently
+    dropped all but the last run — caught by the bench's lake row count,
+    now pinned by ``test_block_ranges_covers_multi_run_blocks``.)"""
     if len(block) == 0:  # len() spans pa.Table AND a passthrough pandas block
         return []
     pids = block.column("partition_id").combine_chunks().to_numpy(
@@ -142,15 +98,22 @@ def _block_ranges(block: pa.Table) -> list:
     return [(int(pids[s]), int(s), int(e - s)) for s, e in zip(starts, ends)]
 
 
+@ray.remote(num_cpus=0)
+def _block_ranges(block: pa.Table) -> list:
+    """The exchange's routing function: :func:`_pid_runs` of one block,
+    run next to the block so only the run list reaches the driver. The
+    block itself is never copied. ``num_cpus=0``: microseconds of work,
+    must not compete with read/merge tasks for slots."""
+    return _pid_runs(block)
+
+
 def _fetch_slices(chunk_slices: list) -> list[pa.Table]:
     """Resolve ``[(ref, start, len)]`` to zero-copy table views, fetching
     each DISTINCT object exactly once with a single batched ``ray.get``.
 
-    A block typically carries many runs for the same partition (map_batches
-    sub-batching: ~10+ runs per (block, pid)), and a per-slice ``ray.get``
-    re-deserializes the block's Arrow metadata every time — measured 1.6 s
-    of a 3 s merge task at 8M events (round-3 profile). ``start=None``
-    means the object IS the slice (slice-object transport)."""
+    A block can carry several runs for the same partition, and a per-slice
+    ``ray.get`` re-deserializes the block's Arrow metadata every time —
+    measured 1.6 s of a 3 s merge task at 8M events (round-3 profile)."""
     order: list = []
     index: dict = {}
     for ref, _s, _l in chunk_slices:
@@ -159,54 +122,38 @@ def _fetch_slices(chunk_slices: list) -> list[pa.Table]:
             order.append(ref)
     tables = ray.get(order)
     return [
-        tables[index[ref]] if start is None else tables[index[ref]].slice(start, length)
+        tables[index[ref]].slice(start, length)
         for ref, start, length in chunk_slices
     ]
 
 
 @ray.remote(num_cpus=1)
-def _slice_block(block: pa.Table, presorted: bool, n_groups: int = 1) -> list:
+def _slice_block(block: pa.Table, n_groups: int = 1) -> list:
     """Multi-node transport: materialize each DESTINATION NODE's rows of
     one block as one compact object-store object, returning
     ``[(pid, ref, start, len)]`` — per-pid zero-copy spans within the
     node-group object.
 
-    The ranges transport ("ranges") routes metadata only and lets merge
-    tasks slice the block zero-copy — optimal single-node, but on a
-    multi-node cluster a pid-sorted block holds runs for ~every partition,
-    so every merge node must fetch (almost) every block: ≈ N_nodes × data
-    bytes over the network (round-2 verdict item 2). This task runs
-    node-local to the block (Ray's locality-aware scheduling places it with
-    its argument) and pays ONE compacting copy (``take`` — pickling an
-    Arrow slice ships the full parent buffers, so a view is not enough).
+    The ranges transport routes metadata only and lets merge tasks slice
+    the block zero-copy — optimal single-node, but on a multi-node cluster
+    a clustered block holds runs for ~every partition, so every merge node
+    must fetch (almost) every block: ≈ N_nodes × data bytes over the
+    network (round-2 verdict item 2). This task runs node-local to the
+    block (Ray's locality-aware scheduling places it with its argument) and
+    pays ONE compacting copy (``take`` — pickling an Arrow slice ships the
+    full parent buffers, so a view is not enough).
 
-    Round 5 (r4 verdict item 8): slices are GROUPED by destination node —
-    ``pid % n_groups`` picks the group, matching the merge tasks' soft
-    node-affinity assignment in the submit loops — because the per-pid
-    ``ray.put`` loop was measured to DOMINATE slice-build cost (209 ms of
-    puts vs 20 ms of takes per 64-partition block: ~3 ms fixed plasma
-    overhead per object). One object per (block, node) cuts puts per block
-    from num_partitions to num_nodes; merge tasks pinned (softly) to their
-    group's node slice their pid's span zero-copy from the node-local
-    object, so the network still carries each partition's bytes exactly
-    once. A task rescheduled off its node (soft affinity, node loss) just
-    fetches its group object remotely — correctness unaffected.
+    Slices are GROUPED by destination node — ``pid % n_groups`` picks the
+    group, matching the merge tasks' soft node-affinity assignment
+    (:func:`_merge_opts`) — because a per-pid ``ray.put`` was measured to
+    DOMINATE slice-build cost (~3 ms fixed plasma overhead per object).
+    One object per (block, node) cuts puts per block from num_partitions to
+    num_nodes; a task rescheduled off its node (soft affinity, node loss)
+    just fetches its group object remotely — correctness unaffected.
     """
-    if len(block) == 0:  # len() spans pa.Table AND a passthrough pandas block
-        return []
-    pids = block.column("partition_id").combine_chunks().to_numpy(
-        zero_copy_only=False
-    )
-    if not presorted:
-        order = np.argsort(pids, kind="stable")
-        block = block.take(pa.array(order))
-        pids = pids[order]
-    bounds = np.flatnonzero(np.diff(pids)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(pids)]])
     runs_by_pid: dict[int, list] = {}
-    for s, e in zip(starts, ends):
-        runs_by_pid.setdefault(int(pids[s]), []).append((int(s), int(e)))
+    for pid, s, n in _pid_runs(block):
+        runs_by_pid.setdefault(pid, []).append((s, s + n))
     group_pids: dict[int, list] = {}
     for pid in sorted(runs_by_pid):
         group_pids.setdefault(pid % max(1, n_groups), []).append(pid)
@@ -259,8 +206,6 @@ def _merge_only_task(chunk_slices: list) -> pa.Table:
     """Sinkless variant of the merge task: LWW state table for one
     partition, returned to the object store (consumed via
     ``ray.data.from_arrow_refs``)."""
-    from ..stages.merge import lww_merge
-
     merged = lww_merge(concat_evolving(_fetch_slices(chunk_slices)))
     return merged.drop_columns(
         [c for c in ("op", "partition_id") if c in merged.column_names]
@@ -272,36 +217,6 @@ def _apply_task(chunk_slices: list, fn) -> pa.Table:
     """Generic shard-apply: concat one partition's slices (zero-copy views
     single-node) and run ``fn`` on the assembled Arrow table."""
     return fn(concat_evolving(_fetch_slices(chunk_slices)))
-
-
-def exchange_apply(
-    partitioned, fn, *, presorted: bool = False, transport: str = "auto"
-) -> "ray.data.Dataset":
-    """Generic grouped-shard primitive over the exchange's data plane:
-    route blocks by their ``partition_id`` column (metadata-only
-    single-node; per-pid slice objects multi-node), then run
-    ``fn(shard_table) -> pa.Table`` once per partition.
-
-    This replaces ``groupby("shard").map_groups(fn)`` for the
-    hash-sharded-group pattern (``pipelines/dedup.sharded_groups``): Ray
-    Data's sort shuffle costs ~3 s fixed on this node at ANY input size
-    (round-3 profile: an empty-work sharded group over 320k slim rows spent
-    3.16 s in the shuffle alone), while the exchange routes the same blocks
-    driver-side in milliseconds and each shard task slices its rows
-    zero-copy. Same colocation guarantee: every row of a partition lands in
-    exactly one ``fn`` call."""
-    import ray.data as rd
-
-    pid_slices, affinity = _route(
-        partitioned, presorted, _resolve_transport(transport)
-    )
-    refs = [
-        _apply_task.options(**_merge_opts(pid, affinity)).remote(slices, fn)
-        for pid, slices in sorted(pid_slices.items())
-    ]
-    if not refs:
-        return rd.from_items([]).limit(0)
-    return rd.from_arrow_refs(refs)
 
 
 def _resolve_transport(transport: str) -> str:
@@ -324,22 +239,19 @@ def _alive_node_ids() -> list[str]:
 
 
 def _route(
-    partitioned, presorted: bool, transport: str = "ranges"
+    partitioned, transport: str = "ranges"
 ) -> tuple[dict[int, list], dict[int, str]]:
     """Stream the partitioned dataset's block refs and build the
     ``{pid: [(ref, start, len)]}`` routing table, plus the merge-task
     node-affinity map ``{pid: node_id}`` (empty for the ranges transport).
 
-    ``transport="ranges"`` routes metadata only — merge tasks slice the
-    original blocks zero-copy (optimal single-node; ``presorted=True``
-    blocks use :func:`_block_ranges`, unsorted blocks pay one clustering
-    copy via :func:`_cluster_block`). ``transport="slices"`` ships each
-    NODE GROUP's rows of each block as one compact object
-    (:func:`_slice_block`, round-5 grouped form): one extra local copy,
-    but a multi-node merge fetches ONLY its node's bytes instead of
-    ~every block (round-2 verdict item 2), and the merge tasks are
-    (softly) pinned to their group's node so each group object crosses
-    the network at most once; routing entries carry the pid's span
+    ``transport="ranges"`` routes metadata only (:func:`_block_ranges`) —
+    merge tasks slice the original blocks zero-copy. ``transport="slices"``
+    ships each NODE GROUP's rows of each block as one compact object
+    (:func:`_slice_block`): one extra local copy, but a multi-node merge
+    fetches ONLY its node's bytes instead of ~every block, and the merge
+    tasks are (softly) pinned to their group's node so each group object
+    crosses the network at most once; routing entries carry the pid's span
     within its group object."""
     nodes = _alive_node_ids() if transport == "slices" else []
     n_groups = max(1, len(nodes))
@@ -363,31 +275,19 @@ def _route(
             expected_rows += n
         for block_ref in bundle.block_refs:
             if transport == "slices":
-                pending.append(
-                    (_slice_block.remote(block_ref, presorted, n_groups), None)
-                )
-            elif presorted:
-                pending.append((_block_ranges.remote(block_ref), block_ref))
+                pending.append((_slice_block.remote(block_ref, n_groups), None))
             else:
-                m, t = _cluster_block.remote(block_ref)
-                pending.append((m, t))
+                pending.append((_block_ranges.remote(block_ref), block_ref))
     pid_slices: dict[int, list] = {}
     routed_rows = 0
-    metas = ray.get([m for m, _t in pending])
-    for ranges, (_m, table_ref) in zip(metas, pending):
-        if table_ref is None:  # slices transport: [(pid, ref, start, len)]
-            for pid, ref, start, n in ranges:
-                routed_rows += n
-                pid_slices.setdefault(pid, []).append((ref, start, n))
-            continue
-        runs = (
-            ranges
-            if isinstance(ranges, list)  # run list from _block_ranges
-            else [(p, s, n) for p, (s, n) in ranges.items()]  # _cluster_block dict
-        )
-        for pid, start, length in runs:
+    metas = ray.get([m for m, _b in pending])
+    for runs, (_m, block_ref) in zip(metas, pending):
+        # ranges: (pid, start, len) within block_ref; slices: (pid, group
+        # object ref, start, len)
+        for pid, *span in runs:
+            ref, start, length = span if block_ref is None else (block_ref, *span)
             routed_rows += length
-            pid_slices.setdefault(pid, []).append((table_ref, start, length))
+            pid_slices.setdefault(pid, []).append((ref, start, length))
     # conservation invariant: every streamed row is routed to exactly one
     # partition slice — a routing bug (e.g. overlapping/dropped runs) fails
     # loudly here instead of silently shrinking the lake
@@ -419,25 +319,49 @@ def _merge_opts(pid: int, affinity: dict[int, str]) -> dict:
     }
 
 
-def exchange_upsert(
-    partitioned, *, presorted: bool = False, transport: str = "auto"
-) -> "ray.data.Dataset":
+def _routed(partitioned, transport: str) -> list[tuple[int, list, dict]]:
+    """Route ``partitioned`` (see :func:`_route`) and return one
+    ``(pid, slices, task_options)`` entry per partition, ascending pid."""
+    pid_slices, affinity = _route(partitioned, _resolve_transport(transport))
+    return [
+        (pid, slices, _merge_opts(pid, affinity))
+        for pid, slices in sorted(pid_slices.items())
+    ]
+
+
+def _as_dataset(refs: list) -> "ray.data.Dataset":
+    import ray.data as rd
+
+    if not refs:
+        return rd.from_items([]).limit(0)
+    return rd.from_arrow_refs(refs)
+
+
+def exchange_apply(partitioned, fn, *, transport: str = "auto") -> "ray.data.Dataset":
+    """Generic grouped-shard primitive over the exchange's data plane:
+    route blocks by their ``partition_id`` column, then run
+    ``fn(shard_table) -> pa.Table`` once per partition. Every row of a
+    partition lands in exactly one ``fn`` call; output blocks come back in
+    ascending pid order."""
+    return _as_dataset(
+        [
+            _apply_task.options(**opts).remote(slices, fn)
+            for _pid, slices, opts in _routed(partitioned, transport)
+        ]
+    )
+
+
+def exchange_upsert(partitioned, *, transport: str = "auto") -> "ray.data.Dataset":
     """Sinkless block-exchange upsert: same routing as
     :func:`exchange_ingest`, but each partition's LWW state returns as an
     Arrow block and the result is a Dataset (``from_arrow_refs`` — blocks
     never touch the driver)."""
-    import ray.data as rd
-
-    pid_slices, affinity = _route(
-        partitioned, presorted, _resolve_transport(transport)
+    return _as_dataset(
+        [
+            _merge_only_task.options(**opts).remote(slices)
+            for _pid, slices, opts in _routed(partitioned, transport)
+        ]
     )
-    refs = [
-        _merge_only_task.options(**_merge_opts(pid, affinity)).remote(slices)
-        for pid, slices in sorted(pid_slices.items())
-    ]
-    if not refs:
-        return rd.from_items([]).limit(0)
-    return rd.from_arrow_refs(refs)
 
 
 def exchange_ingest(
@@ -445,26 +369,106 @@ def exchange_ingest(
     lake_dir: str,
     *,
     batch_id: str,
-    num_partitions: int,
     active_files: dict[int, str],
-    presorted: bool = False,
     transport: str = "auto",
-    num_mergers: int | None = None,  # kept for API compat; unused
-    merger_num_cpus: float = 0,  # kept for API compat; unused
 ) -> list[dict]:
     """Run the block exchange: stream block refs, route each block's pid
-    ranges (zero-copy when ``presorted``), then merge+commit every partition
-    in parallel. Returns manifest records. ``transport`` picks the data
-    plane (see :func:`_route`); ``"auto"`` = ranges on one node, per-pid
-    slice objects on a multi-node cluster."""
-    del num_mergers, merger_num_cpus
-    pid_slices, affinity = _route(
-        partitioned, presorted, _resolve_transport(transport)
-    )
+    runs, then merge+commit every partition in parallel. Returns manifest
+    records. ``transport`` picks the data plane (see :func:`_route`);
+    ``"auto"`` = ranges on one node, per-node slice objects on a
+    multi-node cluster."""
     refs = [
-        _merge_commit_task.options(**_merge_opts(pid, affinity)).remote(
+        _merge_commit_task.options(**opts).remote(
             slices, lake_dir, pid, batch_id, active_files.get(pid)
         )
-        for pid, slices in sorted(pid_slices.items())
+        for pid, slices, opts in _routed(partitioned, transport)
     ]
     return ray.get(refs)
+
+
+# ---------------------------------------------------------------------------
+# shard plane: hash-sharded groups over the exchange
+# ---------------------------------------------------------------------------
+
+
+def pandas_block_apply(
+    t: pa.Table, fn, *, nullable_ints: bool = False
+) -> pa.Table:
+    """One Arrow→pandas→Arrow application under the shard plane's exactness
+    contract (shared by :func:`sharded_groups`' shard task and map-side
+    partial reducers — e.g. ``windows.argmax_rows`` — so both apply the
+    identical conversion rules):
+
+    - ``nullable_ints=True`` maps integer columns to pandas nullable
+      extension dtypes so a null-bearing int64 column never floats
+      (2^53 identity corruption — ADVICE r3 / review r4);
+    - metadata is stripped so every output block hashes to one schema;
+    - a column that is ALL null in this block round-trips through pandas
+      as Arrow ``null`` type — restore the input's declared type so every
+      block carries the same schema (Ray's schema unification otherwise
+      warns, and downstream Arrow kernels that dispatch on type, e.g.
+      ``is_in``/``index_in``, reject the block)."""
+    if nullable_ints:
+        mapper = {
+            pa.int64(): pd.Int64Dtype(),
+            pa.int32(): pd.Int32Dtype(),
+            pa.int16(): pd.Int16Dtype(),
+            pa.int8(): pd.Int8Dtype(),
+        }.get
+        g = t.to_pandas(types_mapper=mapper)
+    else:
+        g = t.to_pandas()
+    out = pa.Table.from_pandas(
+        fn(g), preserve_index=False
+    ).replace_schema_metadata(None)
+    in_types = {f.name: f.type for f in t.schema}
+    for i, f in enumerate(out.schema):
+        want = in_types.get(f.name)
+        if (
+            pa.types.is_null(f.type)
+            and want is not None
+            and not pa.types.is_null(want)
+        ):
+            out = out.set_column(i, f.name, out.column(i).cast(want))
+    return out
+
+
+def sharded_groups(
+    ds: "ray.data.Dataset",
+    key_source,
+    shard_fn,
+    *,
+    num_shards: int = 64,
+    nullable_ints: bool = False,
+) -> "ray.data.Dataset":
+    """Group-parallel processing WITHOUT per-group task overhead: rows are
+    hash-sharded on their group key (``key_source(batch) -> np.uint64``;
+    all rows of one group land in one shard), one task runs per SHARD over
+    :func:`exchange_apply`, and ``shard_fn`` does the fine-grained
+    per-group work with vectorized pandas inside. With tens of thousands of
+    tiny groups (LSH buckets, fingerprints) a per-group call would dominate
+    by 10×+; this pattern pushes the loop into C.
+
+    ``shard_fn`` receives the pandas shard WITH its ``shard`` column.
+    Outputs convert to metadata-stripped Arrow blocks so every block
+    carries an identical hashable schema (pandas blocks make Ray's
+    schema-dedup log ``Failed to hash the schemas`` warnings)."""
+
+    def add_pid(batch: pa.Table) -> pa.Table:
+        h = splitmix64(key_source(batch))
+        return cluster_by_pid(
+            batch.append_column(
+                "partition_id",
+                pa.array((h % np.uint64(num_shards)).astype(np.int32)),
+            ).replace_schema_metadata(None)
+        )
+
+    def run(t: pa.Table) -> pa.Table:
+        names = [
+            "shard" if c == "partition_id" else c for c in t.column_names
+        ]
+        return pandas_block_apply(
+            t.rename_columns(names), shard_fn, nullable_ints=nullable_ints
+        )
+
+    return exchange_apply(ds.map_batches(add_pid, batch_format="pyarrow"), run)

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import shard_column as _shard_col
-from .exchange import exchange_apply
+from .exchange import cluster_by_pid, exchange_apply
 
 _SIDE = "__side"
 _PID = "partition_id"
@@ -320,19 +320,6 @@ def hash_join_sharded(
     # still see one unified key column
     out_r_names = {c: (c + suffix if c in l_names else c) for c in r_names}
 
-    def _pid_sorted(cols: dict) -> pa.Table:
-        # pid-sort inside the tag task (stable argsort on the int32 shard
-        # column) so every block is exchange-ready: the presorted exchange
-        # routes run slices with NO clustering copy — one fewer task wave
-        # and each row hits the object store exactly once (the CDC ingest
-        # pattern, stages/partition.py sort_output)
-        t = pa.table(cols)
-        pid = t.column(_PID).to_numpy(zero_copy_only=False)
-        order = np.argsort(pid, kind="stable")
-        if np.array_equal(order, np.arange(len(order))):
-            return t
-        return t.take(pa.array(order, pa.int64()))
-
     hot_arr = pa.array(hot_list, l_types[ons[0]]) if hot_list else None
 
     from ..functions.hashing import combine64, key_hash_column
@@ -388,7 +375,7 @@ def hash_join_sharded(
         else:
             cols[_PID] = _composite_pid([batch.column(c) for c in ons])
         cols[_SIDE] = pa.nulls(batch.num_rows, pa.int8()).fill_null(0)
-        return _pid_sorted(cols)
+        return cluster_by_pid(pa.table(cols))
 
     def tag_right(batch: pa.Table) -> pa.Table:
         cols = {}
@@ -435,7 +422,7 @@ def hash_join_sharded(
             cols[out_r_names[c]] = tbl.column(out_r_names[c])
         cols[_PID] = pid
         cols[_SIDE] = pa.nulls(n_out, pa.int8()).fill_null(1)
-        return _pid_sorted(cols)
+        return cluster_by_pid(pa.table(cols))
 
     unioned = left.map_batches(
         tag_left, batch_format="pyarrow", batch_size=None
@@ -489,4 +476,4 @@ def hash_join_sharded(
             {c: pa.Array.from_pandas(df[c], type=out_types[c]) for c in df.columns}
         )
 
-    return exchange_apply(unioned, run, presorted=True)
+    return exchange_apply(unioned, run)

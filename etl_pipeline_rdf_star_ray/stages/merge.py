@@ -13,12 +13,6 @@ no per-row Python, no hash maps — so per-partition merge cost is
 O(n log n) in the partition's rows and the memory footprint is the Arrow
 table itself (SURVEY.md §7.5.3: sorted-run merge instead of hash map for
 full-replay mode).
-
-``PartitionMerger`` is the stateful actor-pool variant for continuous
-micro-batch streams: each actor holds its partitions' current state and dedup
-watermarks in memory across batches (setup once in ``__init__``, per SURVEY.md
-§7.3 / the north-star "stateful actor-pool stages holding per-partition merge
-state and dedup watermarks").
 """
 
 from __future__ import annotations
@@ -93,93 +87,3 @@ def merge_state_and_events(
     merged = lww_merge(both, drop_deletes=True)
     return merged.drop_columns(["op"])
 
-
-class PartitionMerger:
-    """Actor-pool merge stage for continuous streams (no durable sink).
-
-    Holds per-partition state tables and watermarks in actor memory; each
-    ``__call__`` applies one micro-batch of already-partitioned events and
-    returns the updated state rows for the touched partitions. Use with
-    ``map_batches(PartitionMerger, concurrency=(a, b), batch_size=...)`` after
-    a ``groupby(partition_id)`` shuffle so each partition consistently lands
-    on one actor per micro-batch.
-
-    **Memory bound** (round-2 verdict item 7 — this stage must not grow
-    without limit at 10^10 events): in-memory state is capped at
-    ``state_budget_rows`` TOTAL rows per actor; beyond it the largest
-    partitions' state tables spill to Parquet under ``spill_dir`` (local
-    disk — the durable-lake path for real deployments is
-    ``exchange_ingest``, this stage is the sinkless streaming variant) and
-    are read back only when their partition is next touched. Watermarks
-    (one int per partition) always stay resident, so the dedup guarantee
-    never spills. Resident memory is therefore O(budget + current batch),
-    not O(stream length)."""
-
-    def __init__(
-        self,
-        *,
-        state_budget_rows: int = 2_000_000,
-        spill_dir: str | None = None,
-    ) -> None:
-        import tempfile
-
-        self._state: dict[int, pa.Table] = {}
-        self._spilled: dict[int, str] = {}
-        self._watermark: dict[int, int] = {}
-        self._budget = int(state_budget_rows)
-        self._spill_dir = spill_dir or tempfile.mkdtemp(prefix="pmerger-spill-")
-
-    def _load(self, pid: int) -> pa.Table | None:
-        if pid in self._state:
-            return self._state[pid]
-        path = self._spilled.pop(pid, None)
-        if path is not None:
-            import os
-
-            import pyarrow.parquet as pq
-
-            t = pq.read_table(path)
-            os.remove(path)
-            self._state[pid] = t
-            return t
-        return None
-
-    def _maybe_spill(self) -> None:
-        total = sum(t.num_rows for t in self._state.values())
-        if total <= self._budget:
-            return
-        import os
-
-        import pyarrow.parquet as pq
-
-        # evict largest-first until under budget (fewest files, most relief)
-        for pid, t in sorted(
-            self._state.items(), key=lambda kv: -kv[1].num_rows
-        ):
-            if total <= self._budget:
-                break
-            path = os.path.join(self._spill_dir, f"part-{pid:05d}.parquet")
-            pq.write_table(t, path, compression="zstd")
-            self._spilled[pid] = path
-            total -= t.num_rows
-            del self._state[pid]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        out = []
-        pids = batch.column("partition_id")
-        for pid in pc.unique(pids).to_pylist():
-            part = batch.filter(pc.equal(pids, pid))
-            wm = self._watermark.get(pid, -1)
-            part = part.filter(pc.greater(part.column("lsn"), wm))
-            if part.num_rows == 0:
-                continue
-            new_state = merge_state_and_events(self._load(pid), part)
-            self._state[pid] = new_state
-            self._watermark[pid] = pc.max(part.column("lsn")).as_py()
-            out.append(new_state)
-        self._maybe_spill()
-        if not out:
-            return pa.table({c: [] for c in batch.drop_columns(["op"]).column_names})
-        return concat_evolving(out)

@@ -15,7 +15,7 @@ one "partition", ``rdf_star_etl_yarrrml.py:131``).
 
 The watermark filter drops events already committed to their partition
 (``lsn <= watermark[pid]``) — replay idempotence and resume-from-checkpoint
-happen HERE, before the shuffle, so replayed data never moves (SURVEY.md
+happen HERE, before the exchange, so replayed data never moves (SURVEY.md
 §2.10; descendant of the reference's batch supersession bookkeeping,
 ``batch_manager.py:387-394``).
 """
@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import combine64, hash64_column, xxh64_column
+from .exchange import cluster_by_pid
 
 #: key-hash implementations a lake table can pin (TableMeta.key_hash):
 #: "xxh64"  — vectorized C hashing, right for high-cardinality keys;
@@ -71,22 +72,18 @@ def make_partition_stage(
     hot_convs: frozenset[str] | set[str],
     watermarks: dict[int, int] | None = None,
     key_hash: str = "xxh64",
-    sort_output: bool = False,
 ):
-    """Build the ``map_batches`` function that appends ``partition_id`` and
-    applies the per-partition watermark filter. ``watermarks`` and
+    """Build the ``map_batches`` function that appends ``partition_id``,
+    applies the per-partition watermark filter and pid-clusters its output
+    (:func:`stages.exchange.cluster_by_pid`). ``watermarks`` and
     ``hot_convs`` are small driver-side lookups captured by value (Ray ships
     them once per task, and they are tiny: P ints / a few strings).
 
-    ``sort_output=True`` additionally pid-sorts each output batch (stable),
-    making every block exchange-ready: the block exchange then needs NO
-    clustering copy — each event is materialized into the object store
-    exactly ONCE, inside the fused read→partition task. Halving the
-    exchange's object-store write volume mattered little on hosts with fast
-    first-touch memory, but on virtualized hosts that materialize guest
-    memory lazily (measured: 30-1000 MB/s fault-in vs 7 GB/s warm on the
-    round-2 bench VM) the fault volume IS the bottleneck — see BASELINE.md
-    "memory materialization" notes."""
+    Clustering here, inside the fused read→partition task, means each event
+    is materialized into the object store exactly ONCE before its merge. On
+    virtualized hosts that materialize guest memory lazily (measured: 30-1000
+    MB/s fault-in vs 7 GB/s warm on the round-2 bench VM) that write volume
+    IS the bottleneck — see BASELINE.md "memory materialization" notes."""
     hot = frozenset(hot_convs)
     wm_arr = None
     if watermarks:
@@ -112,11 +109,7 @@ def make_partition_stage(
             keep = lsn > wm_arr[pid]
             if not keep.all():
                 out = out.filter(pa.array(keep))
-                pid = pid[keep]
-        if sort_output and out.num_rows:
-            if np.any(np.diff(pid) < 0):  # skip the copy if already clustered
-                out = out.take(pa.array(np.argsort(pid, kind="stable")))
-        return out
+        return cluster_by_pid(out)
 
     return stage
 

@@ -50,7 +50,7 @@ def interval_join_sharded(
     column plus every right column (suffixed on name collision; the right
     key column is dropped — it equals the left key)."""
     from ..functions.hashing import combine64, key_hash_column
-    from ..pipelines.dedup import sharded_groups
+    from .exchange import sharded_groups
 
     if width_us <= 0:
         raise ValueError("width_us must be positive")

@@ -205,7 +205,7 @@ def distinct_set_op(
         keep = lidx[present if keep_present else ~present]
         return g.iloc[np.sort(keep)].drop(columns=drop_cols)
 
-    from ..pipelines.dedup import sharded_groups
+    from .exchange import sharded_groups
 
     # no trailing map_batches: sharded_groups already restores each shard's
     # declared column types (all-null shards included), and Ray rewrites

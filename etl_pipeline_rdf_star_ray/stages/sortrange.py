@@ -12,8 +12,8 @@ the exchange family lacked: a GLOBAL ordering, the classic way —
    points (quantile positions of the sorted sample);
 3. a streaming stage tags each row with its range partition id
    (``np.searchsorted`` against the broadcast splits — vectorized, typed:
-   int64 keys never round-trip through float64) and sorts the batch by pid
-   so the exchange takes its zero-copy ``presorted`` path;
+   int64 keys never round-trip through float64) and pid-clusters the batch
+   (the exchange's block-layout rule);
 4. the exchange colocates each range; ONE task per shard does a vectorized
    Arrow ``sort_by`` over all ``keys``.
 
@@ -42,6 +42,8 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd  # noqa: F401  (docstring type refs)
+
+from .exchange import cluster_by_pid, exchange_apply
 
 
 def _key_numpy(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,8 +79,8 @@ def range_tag(
     """Steps 1–3 of the range sort as a reusable primitive: sample ``key0``,
     reduce the sample to split points on the driver, and return the dataset
     tagged with a ``partition_id`` column where shard ids ASCEND with the
-    key (NULLS LAST on the top shard) and each batch is pre-sorted by pid
-    (the exchange's zero-copy ``presorted`` contract). Consumers that need
+    key (NULLS LAST on the top shard) and each batch pid-clustered (the
+    exchange's block-layout rule). Consumers that need
     a key-ordered contiguous-range layout without a full sort — the ordered
     prefix scan (``pipelines/training.pack_sequences``), range-partitioned
     writes — share this instead of re-deriving splits.
@@ -124,9 +126,8 @@ def range_tag(
                 np.int32
             )
             pid[null] = n_shards - 1  # NULLS LAST: nulls ride the top shard
-        order = np.argsort(pid, kind="stable")
         out = batch.append_column("partition_id", pa.array(pid))
-        return out.take(pa.array(order)).replace_schema_metadata(None)
+        return cluster_by_pid(out.replace_schema_metadata(None))
 
     return ds.map_batches(add_pid, batch_format="pyarrow")
 
@@ -141,8 +142,6 @@ def sort_global(
     """Totally ordered dataset (ascending on ``keys``, NULLS LAST): output
     blocks ascend in range order and each block is internally sorted, so
     iterating blocks in order yields the global ``ORDER BY keys``."""
-    from .exchange import exchange_apply
-
     if not keys:
         raise ValueError("need at least one sort key")
 
@@ -154,4 +153,4 @@ def sort_global(
         t = t.drop_columns(["partition_id"])
         return t.sort_by([(k, "ascending") for k in keys])
 
-    return exchange_apply(tagged, shard_sort, presorted=True)
+    return exchange_apply(tagged, shard_sort)

@@ -121,8 +121,7 @@ def main() -> None:
 
     # -- shipped-bytes accounting on a 1M-event exchange --------------------
     stage = make_partition_stage(
-        num_partitions=32, salt_buckets=8, hot_convs=frozenset(),
-        sort_output=True,
+        num_partitions=32, salt_buckets=8, hot_convs=frozenset()
     )
     mat = (
         changelog_dataset(1_000_000)
@@ -133,7 +132,7 @@ def main() -> None:
         r for b in mat.iter_internal_ref_bundles() for r in b.block_refs
     ]
     input_bytes = sum(t.nbytes for t in ray.get(block_refs))
-    pid_slices, affinity = _route(mat, True, "slices")
+    pid_slices, affinity = _route(mat, "slices")
     # round 5: slices are grouped per destination node — the same group
     # object backs every pid of the group, so DEDUPE refs before summing
     slice_refs = list({ref for sl in pid_slices.values() for ref, _s, _l in sl})

@@ -133,7 +133,7 @@ def test_partial_reduce_shrinks_exchange(ray_session):
             "id": pa.array(np.arange(n), pa.int64()),
         }
     )
-    from etl_pipeline_rdf_star_ray.pipelines.dedup import pandas_block_apply
+    from etl_pipeline_rdf_star_ray.stages.exchange import pandas_block_apply
 
     def best(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(

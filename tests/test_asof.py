@@ -79,31 +79,89 @@ def test_sharded_matches_broadcast(ray_session):
     _check(_norm(out[["eid", "ver", "price"]]))
 
 
+# NULL ``on`` values on both sides: SQL compares a NULL with nothing, so a
+# NULL left ts gets NULL values and a NULL right rts never matches
+LEFT_NULL_TS = pa.concat_tables(
+    [
+        LEFT,
+        pa.table(
+            {
+                "eid": pa.array([7, 8], pa.int64()),
+                "k": pa.array([10, 20], pa.int64()),
+                "ts": pa.array([None, None], pa.int64()),
+            }
+        ),
+    ]
+)
+RIGHT_NULL_TS = pa.concat_tables(
+    [
+        RIGHT,
+        pa.table(
+            {
+                "rk": pa.array([10], pa.int64()),
+                "rts": pa.array([None], pa.int64()),
+                "ver": pa.array([7], pa.int64()),
+                "price": pa.array([7.0], pa.float64()),
+            }
+        ),
+    ]
+)
+
+
 def test_matches_duckdb_asof(ray_session):
-    con = duckdb.connect()
-    con.register("l", LEFT)
-    con.register("r", RIGHT)
-    oracle = con.sql(
-        """
+    """The broadcast join (both directions) and the sharded join (backward)
+    equal DuckDB on the interleaved fixture and on one with NULL ``on``
+    values on both sides. The oracle states the as-of condition as a plain
+    LEFT JOIN + arg_max/arg_min, which follows SQL's NULL comparison
+    semantics; DuckDB's own ASOF operator pairs a NULL left ts with the
+    key's latest right row, so it is checked only on the NULL-free
+    fixture."""
+    kw = dict(
+        on="ts", by="k", right_on="rts", right_by="rk",
+        value_cols=["ver", "price"], tiebreak="ver",
+    )
+    dedup = """
         WITH rr AS (
           SELECT rk, rts, max(ver) AS ver, arg_max(price, ver) AS price
           FROM r GROUP BY rk, rts
-        )
-        SELECT l.eid, rr.ver, rr.price
-        FROM l ASOF LEFT JOIN rr ON l.k = rr.rk AND l.ts >= rr.rts
-        ORDER BY l.eid
-        """
-    ).df()
-    got = (
-        asof_join_broadcast(
-            rd.from_arrow(LEFT), RIGHT,
-            on="ts", by="k", right_on="rts", right_by="rk",
-            value_cols=["ver", "price"], tiebreak="ver",
-        )
-        .to_pandas()
-        .sort_values("eid")
-    )
-    assert _norm(got[["eid", "ver", "price"]]) == _norm(oracle)
+        )"""
+    for left, right in ((LEFT, RIGHT), (LEFT_NULL_TS, RIGHT_NULL_TS)):
+        con = duckdb.connect()
+        con.register("l", left)
+        con.register("r", right)
+        for direction, cmp, pick in (
+            ("backward", ">=", "arg_max"),
+            ("forward", "<=", "arg_min"),
+        ):
+            oracle = _norm(
+                con.sql(
+                    f"""{dedup}
+                    SELECT l.eid, {pick}(rr.ver, rr.rts) AS ver,
+                           {pick}(rr.price, rr.rts) AS price
+                    FROM l LEFT JOIN rr ON l.k = rr.rk AND l.ts {cmp} rr.rts
+                    GROUP BY l.eid ORDER BY l.eid
+                    """
+                ).df()
+            )
+            if left is LEFT:
+                assert oracle == _norm(
+                    con.sql(
+                        f"""{dedup}
+                        SELECT l.eid, rr.ver, rr.price
+                        FROM l ASOF LEFT JOIN rr ON l.k = rr.rk AND l.ts {cmp} rr.rts
+                        ORDER BY l.eid
+                        """
+                    ).df()
+                )
+            got = asof_join_broadcast(
+                rd.from_arrow(left), right, direction=direction, **kw
+            ).to_pandas()
+            assert _norm(got.sort_values("eid")) == oracle, direction
+            if direction == "backward":
+                got = asof_join_sharded(
+                    rd.from_arrow(left), rd.from_arrow(right), num_shards=4, **kw
+                ).to_pandas()
+                assert _norm(got.sort_values("eid")) == oracle
 
 
 def test_broadcast_on_real_tables(ray_session):

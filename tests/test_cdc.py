@@ -20,7 +20,6 @@ from etl_pipeline_rdf_star_ray.sources.synthetic import (
     changelog_table,
 )
 from etl_pipeline_rdf_star_ray.stages.merge import (
-    PartitionMerger,
     lww_merge,
     merge_state_and_events,
 )
@@ -248,30 +247,6 @@ def test_hot_conv_auto_detection_pinned_in_meta(tmp_path):
     assert "conv_hot" in meta.hot_convs
 
 
-def test_partition_merger_actor_state_across_micro_batches():
-    """The stateful merger holds per-partition state + watermarks across
-    micro-batches and dedups replayed lsn ranges (actor-pool contract:
-    one actor consistently owns its partitions)."""
-    from etl_pipeline_rdf_star_ray.schema import concat_evolving
-
-    merger = PartitionMerger()
-    stage = make_partition_stage(num_partitions=4, salt_buckets=4,
-                                 hot_convs=frozenset({"conv_hot"}))
-    t = stage(changelog_table(3000))
-    lsn = t.column("lsn")
-    first = t.filter(pc.less(lsn, 1500))
-    second = t.filter(pc.greater_equal(lsn, 1500))
-    merger(first)
-    merger(second)
-    state_after = concat_evolving(list(merger._state.values()))
-    # replaying the first half again must not change state (watermark dedup)
-    merger(first)
-    state_replay = concat_evolving(list(merger._state.values()))
-    got = state_replay.to_pandas().drop(columns=["partition_id"])
-    assert state_after.num_rows == state_replay.num_rows
-    assert_frames_equal(got, oracle_replay(changelog_table(3000)))
-
-
 def test_upsert_dataset_matches_oracle():
     got = cdc.upsert_dataset(
         changelog_dataset(3000), num_partitions=8,
@@ -342,17 +317,13 @@ def test_tail_resume_after_partial_first_commit(tmp_path):
 
 
 def test_block_ranges_matches_cluster_block_routing():
-    """The zero-copy presorted routing (`_block_ranges`) must produce the
-    same {pid: slices} coverage as the clustering fallback for the same
-    logical rows — same pids, same total row count per pid."""
-    import numpy as np
+    """`_block_ranges` over one partition-stage block routes every row
+    exactly once: per-pid routed rows equal the bincount of the pids
+    computed from the raw input, each run is a homogeneous pid span, and
+    the clustered block has ONE run per pid."""
     import ray
 
-    from etl_pipeline_rdf_star_ray.stages.exchange import (
-        _block_ranges,
-        _cluster_block,
-    )
-    from etl_pipeline_rdf_star_ray.stages.partition import make_partition_stage
+    from etl_pipeline_rdf_star_ray.stages.exchange import _block_ranges
 
     t = pa.table(
         {
@@ -361,30 +332,26 @@ def test_block_ranges_matches_cluster_block_routing():
             "lsn": pa.array(np.arange(100, dtype=np.int64)),
         }
     )
-    unsorted_stage = make_partition_stage(
+    want = np.bincount(
+        partition_ids(
+            t.column("conv_id"), t.column("turn_idx").to_numpy(),
+            num_partitions=4, salt_buckets=1, hot_set=frozenset(),
+        ),
+        minlength=4,
+    )
+    block = make_partition_stage(
         num_partitions=4, salt_buckets=1, hot_convs=frozenset()
-    )
-    sorted_stage = make_partition_stage(
-        num_partitions=4, salt_buckets=1, hot_convs=frozenset(), sort_output=True
-    )
-    plain = unsorted_stage(t)
-    pre = sorted_stage(t)
-    # sorted stage preserves the rows, reordered
-    assert pre.sort_by("lsn").equals(plain.sort_by("lsn"))
+    )(t)
+    assert block.sort_by("lsn").drop_columns(["partition_id"]).equals(t)
 
-    runs_pre = ray.get(_block_ranges.remote(ray.put(pre)))
-    meta_ref, _tbl_ref = _cluster_block.remote(ray.put(plain))
-    ranges_old = ray.get(meta_ref)
-    rows_pre = {}
-    for pid, _s, n in runs_pre:
-        rows_pre[pid] = rows_pre.get(pid, 0) + n
-    assert set(rows_pre) == set(ranges_old)
-    for pid in rows_pre:
-        assert rows_pre[pid] == ranges_old[pid][1]  # same rows per pid
-    # runs really delimit homogeneous pid spans in the presorted block
-    pids = pre.column("partition_id").to_pylist()
-    for pid, start, length in runs_pre:
-        assert set(pids[start : start + length]) == {pid}
+    runs = ray.get(_block_ranges.remote(ray.put(block)))
+    pids = block.column("partition_id").to_numpy()
+    routed = np.zeros(4, dtype=np.int64)
+    for pid, start, length in runs:
+        assert set(pids[start : start + length].tolist()) == {pid}
+        routed[pid] += length
+    assert routed.tolist() == want.tolist()
+    assert len(runs) == np.count_nonzero(want)
 
 
 def test_block_ranges_covers_multi_run_blocks():
@@ -429,7 +396,7 @@ def test_slice_transport_matches_ranges_and_bounds_fetch_bytes(tmp_path):
     from etl_pipeline_rdf_star_ray.stages.partition import make_partition_stage
 
     stage = make_partition_stage(
-        num_partitions=4, salt_buckets=1, hot_convs=frozenset(), sort_output=True
+        num_partitions=4, salt_buckets=1, hot_convs=frozenset()
     )
     log = changelog_dataset(5000, n_convs=50)
     partitioned = log.map_batches(stage, batch_format="pyarrow", batch_size=None)
@@ -454,7 +421,7 @@ def test_slice_transport_matches_ranges_and_bounds_fetch_bytes(tmp_path):
     # zero-copy spans) — single-node test = one group, so every pid's span
     # must carve exactly its own rows out of the shared group object and
     # the group objects together must cover the dataset exactly once.
-    routed, affinity = _route(partitioned, True, "slices")
+    routed, affinity = _route(partitioned, "slices")
     assert affinity and len(set(affinity.values())) == 1  # one node
     seen_refs = {}
     covered_rows = 0
@@ -496,7 +463,7 @@ def test_slice_block_covers_multi_run_blocks():
         }
     )
     block = pa.concat_tables([run, run, run])
-    out = ray.get(_slice_block.remote(block, True))
+    out = ray.get(_slice_block.remote(block))
 
     def span_rows(entries):
         got = {}
@@ -507,13 +474,13 @@ def test_slice_block_covers_multi_run_blocks():
         return got
 
     assert span_rows(out) == {0: 6, 1: 3, 2: 9}
-    # unsorted path produces the same coverage
+    # an unclustered block is still covered exactly (just with more runs)
     shuffled = block.take(pa.array(np.random.default_rng(0).permutation(18)))
-    out2 = ray.get(_slice_block.remote(shuffled, False))
+    out2 = ray.get(_slice_block.remote(shuffled))
     assert span_rows(out2) == {0: 6, 1: 3, 2: 9}
     # grouped form: pids split across 2 node groups by pid % 2, spans
     # still exact per pid
-    out3 = ray.get(_slice_block.remote(block, True, 2))
+    out3 = ray.get(_slice_block.remote(block, 2))
     assert span_rows(out3) == {0: 6, 1: 3, 2: 9}
     assert len({ref for _p, ref, _s, _n in out3}) == 2
     # group 0 holds pids {0, 2}, group 1 holds pid {1}
@@ -521,46 +488,6 @@ def test_slice_block_covers_multi_run_blocks():
     for pid, ref, _s, _n in out3:
         by_ref.setdefault(ref, set()).add(pid)
     assert sorted(map(sorted, by_ref.values())) == [[0, 2], [1]]
-
-
-def test_partition_merger_spills_beyond_budget(tmp_path):
-    """With a tiny state budget the merger must spill partitions to disk,
-    keep resident rows bounded, reload spilled state on the next touch, and
-    produce the same final state as the unbounded merger (round-2 verdict
-    item 7: no unbounded-state stage)."""
-    from etl_pipeline_rdf_star_ray.schema import concat_evolving
-
-    stage = make_partition_stage(num_partitions=4, salt_buckets=4,
-                                 hot_convs=frozenset({"conv_hot"}))
-    t = stage(changelog_table(3000))
-    lsn = t.column("lsn")
-    halves = [t.filter(pc.less(lsn, 1500)), t.filter(pc.greater_equal(lsn, 1500))]
-
-    plain = PartitionMerger()
-    tiny = PartitionMerger(state_budget_rows=100, spill_dir=str(tmp_path))
-    for h in halves:
-        plain(h)
-        tiny(h)
-        assert sum(x.num_rows for x in tiny._state.values()) <= 100 + h.num_rows
-    assert tiny._spilled, "budget of 100 rows must force spilling"
-
-    def full_state(m):
-        tables = list(m._state.values()) + [
-            __import__("pyarrow.parquet", fromlist=["read_table"]).read_table(p)
-            for p in m._spilled.values()
-        ]
-        return (
-            concat_evolving(tables)
-            .sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-            .to_pandas()
-        )
-
-    assert_frames_equal(full_state(tiny), full_state(plain))
-
-    # watermark dedup still holds for a spilled partition (replay is a no-op)
-    before = full_state(tiny)
-    tiny(halves[0])
-    assert_frames_equal(full_state(tiny), before)
 
 
 def test_tail_soak_crash_between_ticks(tmp_path):
@@ -641,13 +568,9 @@ def test_exchange_skips_empty_passthrough_blocks(ray_session):
         return batch.append_column("partition_id", pid)
 
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    for presorted in (True, False):
-        out = exchange_apply(
-            tagged, lambda t: t.drop_columns(["partition_id"]),
-            presorted=presorted,
-        )
-        got = out.to_pandas()
-        assert got.k.tolist() == [7] and got.v.tolist() == ["x"]
+    out = exchange_apply(tagged, lambda t: t.drop_columns(["partition_id"]))
+    got = out.to_pandas()
+    assert got.k.tolist() == [7] and got.v.tolist() == ["x"]
 
 
 def test_retention_vacuum_expires_and_keeps_salted_hot(tmp_path):

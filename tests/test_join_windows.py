@@ -676,12 +676,12 @@ def test_route_affinity_single_node(ray_session):
     from etl_pipeline_rdf_star_ray.stages.partition import make_partition_stage
 
     stage = make_partition_stage(
-        num_partitions=4, salt_buckets=1, hot_convs=frozenset(), sort_output=True
+        num_partitions=4, salt_buckets=1, hot_convs=frozenset()
     )
     part = changelog_dataset(2000, n_convs=20).map_batches(
         stage, batch_format="pyarrow", batch_size=None
     )
-    routed, affinity = _route(part, True, "slices")
+    routed, affinity = _route(part, "slices")
     alive = {n["NodeID"] for n in ray.nodes() if n.get("Alive")}
     assert set(affinity) == set(routed)
     assert set(affinity.values()) <= alive and len(set(affinity.values())) == 1
@@ -689,7 +689,7 @@ def test_route_affinity_single_node(ray_session):
     strat = opts["scheduling_strategy"]
     assert strat.soft is True and strat.node_id in alive
     # ranges transport: no affinity
-    routed2, affinity2 = _route(part, True, "ranges")
+    routed2, affinity2 = _route(part, "ranges")
     assert affinity2 == {} and _merge_opts(0, affinity2) == {}
 
 

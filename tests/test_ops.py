@@ -161,21 +161,6 @@ def test_export_lines_dataset():
     assert out[0]["text"] == '<http://e/s> <http://e/p> "x" .'
 
 
-def test_chunk_id_distinguishes_duplicate_lsn_multisets():
-    """XOR alone cancels duplicate lsns pairwise; the combined xor+sum id
-    must distinguish same-length chunks built from non-unique lsn values
-    (round-1 ADVICE: external CDC sources need not have unique lsns)."""
-    import numpy as np
-
-    from etl_pipeline_rdf_star_ray.stages.exchange import _chunk_id
-
-    a = _chunk_id(0, np.array([7, 7, 9, 9], dtype=np.uint64))   # xor = 0
-    b = _chunk_id(0, np.array([3, 3, 5, 5], dtype=np.uint64))   # xor = 0
-    c = _chunk_id(0, np.array([7, 9, 7, 9], dtype=np.uint64))   # order-indep
-    assert a != b
-    assert a == c
-
-
 def test_hash_probe_detects_changed_hash_impl(tmp_path):
     """A lake created under one hash implementation must refuse to load if
     the environment's hash changed (silent key→partition remap protection)."""

@@ -1,13 +1,12 @@
 """Scale-behavior invariants: hot-key salting actually balances partitions,
 schema evolution across multiple late columns, and the block exchange's
-arrival-order independence + chunk-id retry-dedup key."""
+arrival-order independence and colocation."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from etl_pipeline_rdf_star_ray.sources.synthetic import changelog_table
-from etl_pipeline_rdf_star_ray.stages.exchange import _chunk_id
 from etl_pipeline_rdf_star_ray.stages.merge import lww_merge
 from etl_pipeline_rdf_star_ray.stages.partition import make_partition_stage
 
@@ -101,14 +100,6 @@ def test_exchange_block_order_independence(tmp_path):
     a = run("a", t, 2)
     b = run("b", shuffled, 7)
     assert a.equals(b)
-
-
-def test_chunk_id_is_order_independent_content_hash():
-    lsns = np.arange(100, dtype=np.uint64)
-    rng = np.random.RandomState(0)
-    assert _chunk_id(3, lsns) == _chunk_id(3, rng.permutation(lsns))
-    assert _chunk_id(3, lsns) != _chunk_id(4, lsns)
-    assert _chunk_id(3, lsns) != _chunk_id(3, lsns[:-1])
 
 
 def _late_hot_log(n=4000, hot="conv_late_hot"):
@@ -219,14 +210,20 @@ def test_resalt_migrates_late_hot_conversation(tmp_path):
 def test_exchange_apply_colocates_groups(ray_session):
     """exchange_apply (the sharded_groups shuffle plane) must deliver EVERY
     row of a partition to exactly ONE fn call, preserve total rows, and
-    never split a key across calls — the colocation contract the old
-    groupby('shard').map_groups path guaranteed."""
+    never split a key across calls. Its producer follows the block-layout
+    rule (cluster_by_pid), so no pid is routed more slices than there are
+    input blocks — a producer that forgot to cluster would stay correct
+    but fan in one slice per row."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
-    from etl_pipeline_rdf_star_ray.stages.exchange import exchange_apply
+    from etl_pipeline_rdf_star_ray.stages.exchange import (
+        _route,
+        cluster_by_pid,
+        exchange_apply,
+    )
 
     n, shards = 10_000, 7
     keys = np.arange(n, dtype=np.int64) % 23
@@ -237,7 +234,14 @@ def test_exchange_apply_colocates_groups(ray_session):
             "partition_id": pa.array((keys % shards).astype(np.int32)),
         }
     )
-    ds = rd.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow")
+    ds = (
+        rd.from_arrow(t)
+        .repartition(4)
+        .map_batches(cluster_by_pid, batch_format="pyarrow")
+        .materialize()
+    )
+    routed, _affinity = _route(ds)
+    assert max(len(s) for s in routed.values()) <= ds.num_blocks()
 
     def summarize(shard: pa.Table) -> pa.Table:
         ks = sorted(set(shard.column("k").to_pylist()))
