@@ -61,14 +61,6 @@ def replay_job(
     from .pipelines.cdc import ingest
     from .state import manifest as mf
 
-    def wm_floor() -> int:
-        if not os.path.exists(os.path.join(lake_dir, mf.META_FILE)):
-            return -1
-        wm = mf.watermarks(lake_dir)
-        if wm and len(wm) >= mf.load_meta(lake_dir).num_partitions:
-            return min(wm.values())
-        return -1
-
     # One cheap pruned aggregate up front: the replay target. Lets chunked
     # rounds distinguish "gap in LSN space" from "log exhausted".
     max_lsn = rd.read_parquet(log_dir, columns=["lsn"]).max("lsn")
@@ -84,7 +76,7 @@ def replay_job(
     rounds: list[dict] = []
     t_job = time.perf_counter()
     total_events = 0
-    cursor = wm_floor()
+    cursor = mf.watermark_floor(lake_dir)
     while cursor < max_lsn and (max_rounds is None or len(rounds) < max_rounds):
         flt = pc.field("lsn") > cursor
         hi = max_lsn
@@ -104,7 +96,7 @@ def replay_job(
                 "sec": round(sec, 3),
                 "events_per_sec": int(events / sec) if sec > 0 else 0,
                 "lsn_cursor": cursor,
-                "wm_floor_after": wm_floor(),
+                "wm_floor_after": mf.watermark_floor(lake_dir),
             }
         )
 

@@ -18,7 +18,6 @@ copy-on-write versions addressed by a commit manifest.
 from __future__ import annotations
 
 import os
-import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -28,7 +27,6 @@ from ..schema import MANIFEST_SCHEMA
 from ..stages import exchange
 from ..stages.partition import detect_hot_convs, make_partition_stage
 from ..state import manifest as mf
-from ..state.lake import read_state, state_table  # noqa: F401  (re-export)
 
 
 def _manifest_table(recs: list[mf.CommitRecord]) -> pa.Table:
@@ -72,8 +70,10 @@ def ingest(
 
     os.makedirs(lake_dir, exist_ok=True)
     meta = mf.load_or_create_meta(lake_dir, default_meta)
-    wm = mf.watermarks(lake_dir)
-    active = {p: os.path.join(lake_dir, r.file) for p, r in mf.active_versions(lake_dir).items()}
+    # one manifest scan: the watermarks ARE the active versions' lsn_hi
+    versions = mf.active_versions(lake_dir)
+    wm = {p: r.lsn_hi for p, r in versions.items()}
+    active = {p: os.path.join(lake_dir, r.file) for p, r in versions.items()}
     if batch_id is None:
         batch_id = f"ingest-{max(wm.values(), default=-1) + 1:020d}"
 
@@ -146,42 +146,11 @@ def upsert_dataset(
 
 def tail_once(log_dir: str, lake_dir: str, **ingest_kw) -> pa.Table:
     """One tailing round over a growing change-log directory: read only rows
-    past the lake's minimum committed watermark (row-group pushdown at the
-    parquet read), then ingest. The per-partition watermark filter inside
-    :func:`ingest` handles the finer-grained dedup — this pre-filter just
-    prunes storage I/O (SURVEY.md 'prune at the read')."""
-    wm = (
-        mf.watermarks(lake_dir)
-        if os.path.exists(os.path.join(lake_dir, mf.META_FILE))
-        else {}
-    )
-    # A partition with NO commit record yet has effective watermark -1: after
-    # a crash that committed some partitions but never a given partition's
-    # first commit, pruning at min(existing watermarks) would filter that
-    # partition's events out of the read forever. Only prune when every
-    # partition has committed at least once; the per-partition filter inside
-    # :func:`ingest` does the exact dedup either way.
-    min_wm = -1
-    if wm and len(wm) >= mf.load_meta(lake_dir).num_partitions:
-        min_wm = min(wm.values())
-    ds = rd.read_parquet(log_dir, filter=pc.field("lsn") > min_wm)
+    past the lake's watermark floor (:func:`manifest.watermark_floor`;
+    row-group pushdown at the parquet read), then ingest. The per-partition
+    watermark filter inside :func:`ingest` handles the finer-grained dedup —
+    this pre-filter just prunes storage I/O (SURVEY.md 'prune at the
+    read')."""
+    floor = mf.watermark_floor(lake_dir)
+    ds = rd.read_parquet(log_dir, filter=pc.field("lsn") > floor)
     return ingest(ds, lake_dir, **ingest_kw)
-
-
-def tail(
-    log_dir: str,
-    lake_dir: str,
-    *,
-    rounds: int,
-    poll_interval: float = 0.0,
-    **ingest_kw,
-) -> list[pa.Table]:
-    """Bounded tailing loop (the reference's incremental-ingest loop,
-    ``batch_cli.py:36-87``, one batch per round): each round is one durable
-    exactly-once micro-batch; a crashed round resumes on the next call."""
-    out = []
-    for i in range(rounds):
-        out.append(tail_once(log_dir, lake_dir, **ingest_kw))
-        if poll_interval and i + 1 < rounds:
-            time.sleep(poll_interval)
-    return out

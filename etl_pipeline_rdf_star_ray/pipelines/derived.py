@@ -26,16 +26,12 @@ conversation's last turn was deleted."""
 
 from __future__ import annotations
 
-import os
-
 import pandas as pd
-import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..schema import KEY_COLUMNS
 from ..stages.lift import lift_dataset, transcripts_spec
-from ..state import manifest as mf
-from .ops import _NON_PAYLOAD
+from . import ops
 
 DELTA_ASSERT = "assert"
 DELTA_RETRACT = "retract"
@@ -46,68 +42,37 @@ def changed_rows(lake_dir: str, lsn_a: int, lsn_b: int | None = None) -> "rd.Dat
     ``delta_op`` column: the OLD row (``retract``) for removed/modified keys
     and the NEW row (``assert``) for added/modified keys. Unchanged keys
     never leave the partition task."""
-    va = mf.active_versions(lake_dir, at_lsn=lsn_a)
-    vb = mf.active_versions(lake_dir, at_lsn=lsn_b)
-    pids = sorted(set(va) | set(vb))
     pairs = [
-        {
-            "partition_id": p,
-            "file_a": os.path.join(lake_dir, va[p].file) if p in va else "",
-            "file_b": os.path.join(lake_dir, vb[p].file) if p in vb else "",
-        }
-        for p in pids
+        p
+        for p in ops.snapshot_pairs(lake_dir, lsn_a, lsn_b)
         # same committed version at both watermarks ⇒ delta is empty by
         # construction; skipping keeps the cost O(changed partitions) on
         # mostly-idle lakes (ADVICE r2)
-        if not (p in va and p in vb and va[p].file == vb[p].file)
+        if p["file_a"] != p["file_b"]
     ]
-    if not pairs:
-        return rd.from_items([]).limit(0)
-
     key = list(KEY_COLUMNS)
 
-    def delta_partition(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, row in batch.iterrows():
-            a = pq.read_table(row["file_a"]).to_pandas() if row["file_a"] else None
-            b = pq.read_table(row["file_b"]).to_pandas() if row["file_b"] else None
-            if a is None:
-                a = pd.DataFrame(columns=key)
-            if b is None:
-                b = pd.DataFrame(columns=key)
-            payload = sorted((set(a.columns) | set(b.columns)) - _NON_PAYLOAD)
-            for df in (a, b):
-                for c in payload:
-                    if c not in df.columns:
-                        df[c] = None
-            m = a[key + payload].merge(
-                b[key + payload], on=key, how="outer", indicator=True,
-                suffixes=("_a", "_b"),
-            )
-            both = m["_merge"] == "both"
-            neq = pd.Series(False, index=m.index)
+    def delta_pair(a: pd.DataFrame | None, b: pd.DataFrame | None) -> pd.DataFrame:
+        m, payload, modified = ops.outer_compare(a, b)
+
+        def side(mask, suffix, op):
+            out = m.loc[mask, key].copy()
             for c in payload:
-                ca, cb = m[f"{c}_a"], m[f"{c}_b"]
-                neq |= ~((ca == cb) | (ca.isna() & cb.isna()))
-            retract_mask = (m["_merge"] == "left_only") | (both & neq)
-            assert_mask = (m["_merge"] == "right_only") | (both & neq)
+                out[c] = m.loc[mask, f"{c}{suffix}"].values
+            out["delta_op"] = op
+            return out
 
-            def side(mask, suffix, op):
-                out = m.loc[mask, key].copy()
-                for c in payload:
-                    out[c] = m.loc[mask, f"{c}{suffix}"].values
-                out["delta_op"] = op
-                return out
-
-            outs.append(side(retract_mask, "_a", DELTA_RETRACT))
-            outs.append(side(assert_mask, "_b", DELTA_ASSERT))
-        out = pd.concat(outs, ignore_index=True)
+        out = pd.concat(
+            [
+                side((m["_merge"] == "left_only") | modified, "_a", DELTA_RETRACT),
+                side((m["_merge"] == "right_only") | modified, "_b", DELTA_ASSERT),
+            ],
+            ignore_index=True,
+        )
         # stable dtypes even when a partition contributes no changes
         return out.astype({"delta_op": str}) if len(out) else out
 
-    return rd.from_items(pairs).map_batches(
-        delta_partition, batch_format="pandas", batch_size=1
-    )
+    return ops.map_snapshot_pairs(pairs, delta_pair)
 
 
 def lift_delta(

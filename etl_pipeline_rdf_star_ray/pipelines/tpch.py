@@ -473,8 +473,10 @@ def q14_promo_revenue(
         )
 
     parts = li.map_batches(partial, batch_format="pyarrow").to_pandas()
-    promo = np.int64(parts["promo_rev_c4"].sum())
-    total = np.int64(parts["total_rev_c4"].sum())
+    # Python ints: promo * 10000 overflows int64 once promo passes ~9.2e14
+    # c4 units (ADVICE 4)
+    promo = sum(int(x) for x in parts["promo_rev_c4"])
+    total = sum(int(x) for x in parts["total_rev_c4"])
     p_terms = int(parts["promo_terms"].sum())
     t_terms = int(parts["total_terms"].sum())
     # NULL propagation like the oracle: each sum is NULL when it saw no

@@ -6,16 +6,19 @@ the manifest after every mutation; sha256 checksums at
 ``batch_manager.py:261``). Differences, driven by distributed execution:
 
 - one commit RECORD per ``(partition_id, batch_id)`` instead of one mutable
-  JSON file: each record is written to its own file via atomic
-  write-temp-then-rename, so concurrent partition commits never contend and a
-  torn write is impossible. Record file name = commit marker — re-committing
-  the same (partition, batch) is detected and becomes a no-op (exactly-once
-  under Ray task retries, SURVEY.md §7.5.1).
+  JSON file. Records are written only by :func:`.sink.commit_partition`,
+  through the storage seam's ``put_if_absent``: concurrent partition commits
+  never contend, a torn write is impossible, and the record file name is the
+  commit marker — re-committing the same (partition, batch) is a no-op
+  (exactly-once under Ray task retries, SURVEY.md §7.5.1).
 - batch lifecycle (PENDING→ACTIVE→SUPERSEDED, ``batch_manager.py:26-32``) is
   *derived*, not mutated: the active version of a partition is its record
   with the highest ``lsn_hi``; every earlier record is implicitly superseded
   but remains addressable for point-in-time reads
   (``batch_manager.py:506-528``).
+- ``_meta.json`` and status overrides go through the same atomic put
+  (:data:`.commitfs.DEFAULT_FS`), so every file in the table is written by
+  one protocol.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
+
+from .commitfs import DEFAULT_FS
 
 
 @dataclass
@@ -60,26 +65,6 @@ MANIFEST_DIR = "_manifest"
 META_FILE = "_meta.json"
 
 
-def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    # make the rename itself durable: a record that survives power loss
-    # while its referenced data file did not would corrupt the manifest
-    # (ordering is data-dir fsync → record write → manifest-dir fsync)
-    try:
-        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-    except OSError:  # pragma: no cover
-        pass
-
-
 def _verify_hash_probe(meta: TableMeta) -> TableMeta:
     if meta.hash_probe:
         from ..functions.hashing import hash_probe
@@ -106,8 +91,15 @@ def load_or_create_meta(lake_dir: str, default: TableMeta) -> TableMeta:
 
         default.hash_probe = hash_probe(default.key_hash)
     os.makedirs(os.path.join(lake_dir, MANIFEST_DIR), exist_ok=True)
-    _atomic_write(path, json.dumps(asdict(default), indent=1))
+    write_meta(lake_dir, default)
     return default
+
+
+def write_meta(lake_dir: str, meta: TableMeta) -> None:
+    DEFAULT_FS.put_atomic(
+        os.path.join(lake_dir, META_FILE),
+        json.dumps(asdict(meta), indent=1).encode(),
+    )
 
 
 def load_meta(lake_dir: str) -> TableMeta:
@@ -121,21 +113,6 @@ def _record_path(lake_dir: str, partition_id: int, batch_id: str) -> str:
     )
 
 
-def commit(lake_dir: str, rec: CommitRecord) -> bool:
-    """Append one commit record; returns False (no-op) if the
-    ``(partition_id, batch_id)`` marker already exists — the idempotence
-    guarantee a retried sink task relies on."""
-    path = _record_path(lake_dir, rec.partition_id, rec.batch_id)
-    if os.path.exists(path):
-        return False
-    _atomic_write(path, json.dumps(asdict(rec)))
-    return True
-
-
-def has_commit(lake_dir: str, partition_id: int, batch_id: str) -> bool:
-    return os.path.exists(_record_path(lake_dir, partition_id, batch_id))
-
-
 OVERRIDE_PREFIX = "override-"
 
 STATUS_ACTIVE = "active"
@@ -143,33 +120,25 @@ STATUS_ARCHIVED = "archived"
 STATUS_DELETED = "deleted"
 
 
-def _load_overrides(lake_dir: str) -> dict[tuple[int, str], str]:
-    mdir = os.path.join(lake_dir, MANIFEST_DIR)
-    out: dict[tuple[int, str], str] = {}
-    if not os.path.isdir(mdir):
-        return out
-    for name in sorted(os.listdir(mdir)):
-        if not name.startswith(OVERRIDE_PREFIX) or not name.endswith(".json"):
-            continue
-        with open(os.path.join(mdir, name)) as f:
-            o = json.load(f)
-        out[(o["partition_id"], o["batch_id"])] = o["status"]
-    return out
-
-
 def load_records(lake_dir: str) -> list[CommitRecord]:
+    """Every commit record with its status override applied — one listing
+    of ``_manifest/``."""
     mdir = os.path.join(lake_dir, MANIFEST_DIR)
     if not os.path.isdir(mdir):
         return []
-    overrides = _load_overrides(lake_dir)
-    out = []
+    out: list[CommitRecord] = []
+    overrides: dict[tuple[int, str], str] = {}
     for name in sorted(os.listdir(mdir)):
-        if not name.endswith(".json") or name.startswith(OVERRIDE_PREFIX):
+        if not name.endswith(".json"):
             continue
         with open(os.path.join(mdir, name)) as f:
-            rec = CommitRecord(**json.load(f))
+            obj = json.load(f)
+        if name.startswith(OVERRIDE_PREFIX):
+            overrides[(obj["partition_id"], obj["batch_id"])] = obj["status"]
+        else:
+            out.append(CommitRecord(**obj))
+    for rec in out:
         rec.status = overrides.get((rec.partition_id, rec.batch_id), rec.status)
-        out.append(rec)
     return out
 
 
@@ -190,7 +159,7 @@ def _set_status(lake_dir: str, batch_id: str, status: str) -> int:
             MANIFEST_DIR,
             f"{OVERRIDE_PREFIX}p{rec.partition_id:05d}-{batch_id}.json",
         )
-        _atomic_write(
+        DEFAULT_FS.put_atomic(
             path,
             json.dumps(
                 {
@@ -198,7 +167,7 @@ def _set_status(lake_dir: str, batch_id: str, status: str) -> int:
                     "batch_id": batch_id,
                     "status": status,
                 }
-            ),
+            ).encode(),
         )
         n += 1
     return n
@@ -259,3 +228,18 @@ def active_versions(
 def watermarks(lake_dir: str) -> dict[int, int]:
     """Per-partition highest committed lsn — the dedup/resume watermark."""
     return {p: r.lsn_hi for p, r in active_versions(lake_dir).items()}
+
+
+def watermark_floor(lake_dir: str) -> int:
+    """Lowest lsn every partition has committed through, or -1 while any
+    partition has no commit yet. A partition with no record has effective
+    watermark -1: after a crash that committed some partitions but never a
+    given partition's first commit, pruning a read at min(existing
+    watermarks) would drop that partition's events forever, so a read may
+    prune below this floor only."""
+    if not os.path.exists(os.path.join(lake_dir, META_FILE)):
+        return -1
+    wm = watermarks(lake_dir)
+    if len(wm) < load_meta(lake_dir).num_partitions:
+        return -1
+    return min(wm.values())

@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import pyarrow as pa
@@ -40,14 +40,6 @@ import pyarrow.parquet as pq
 
 from .commitfs import DEFAULT_FS
 from .manifest import CommitRecord, _record_path
-
-
-def partition_dir(lake_dir: str, partition_id: int) -> str:
-    return os.path.join(lake_dir, f"part={partition_id:05d}")
-
-
-def version_file(lake_dir: str, partition_id: int, batch_id: str) -> str:
-    return os.path.join(partition_dir(lake_dir, partition_id), f"{batch_id}.parquet")
 
 
 def commit_partition(
@@ -74,24 +66,22 @@ def commit_partition(
     final = os.path.join(lake_dir, rel)
     marker = _record_path(lake_dir, partition_id, batch_id)
 
-    def _duplicate() -> CommitRecord:
-        return CommitRecord(
-            partition_id=partition_id,
-            batch_id=batch_id,
-            lsn_lo=lsn_lo,
-            lsn_hi=lsn_hi,
-            file=rel,
-            row_count=table.num_rows,
-            event_count=event_count,
-            checksum="",
-            committed_at="",
-            wall_sec=0.0,
-            status="duplicate",
-        )
-
+    dup = CommitRecord(
+        partition_id=partition_id,
+        batch_id=batch_id,
+        lsn_lo=lsn_lo,
+        lsn_hi=lsn_hi,
+        file=rel,
+        row_count=table.num_rows,
+        event_count=event_count,
+        checksum="",
+        committed_at="",
+        wall_sec=0.0,
+        status="duplicate",
+    )
     if fs.exists(marker):
         # a prior attempt fully committed — nothing to do (exactly-once)
-        return _duplicate()
+        return dup
 
     sink = pa.BufferOutputStream()
     pq.write_table(table, sink, compression="zstd")
@@ -100,20 +90,12 @@ def commit_partition(
     # data BEFORE marker: a marker must never reference missing bytes; the
     # deterministic name makes a retry's overwrite byte-identical
     fs.put_atomic(final, data)
-    rec = CommitRecord(
-        partition_id=partition_id,
-        batch_id=batch_id,
-        lsn_lo=lsn_lo,
-        lsn_hi=lsn_hi,
-        file=rel,
-        row_count=table.num_rows,
-        event_count=event_count,
+    rec = replace(
+        dup,
         checksum=checksum,
         committed_at=datetime.now(timezone.utc).isoformat(),
         wall_sec=time.monotonic() - wall_start,
         status="active",
     )
-    if not fs.put_if_absent(marker, json.dumps(asdict(rec)).encode()):
-        # lost the marker race: the rival's commit stands
-        return _duplicate()
-    return rec
+    # put-if-absent: losing the marker race means the rival's commit stands
+    return rec if fs.put_if_absent(marker, json.dumps(asdict(rec)).encode()) else dup

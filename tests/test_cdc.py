@@ -278,6 +278,29 @@ def test_tail_growing_log(tmp_path):
     assert r1 <= got.shape[0] + 200  # first round really was partial
 
 
+def test_one_manifest_scan_per_ingest(tmp_path, monkeypatch):
+    """An ingest into an existing lake lists ``_manifest/`` once (watermarks
+    and prior files come from the same scan); ``tail_once`` adds one more
+    for its read floor."""
+    import pyarrow.parquet as pq
+
+    log = tmp_path / "log"
+    log.mkdir()
+    lake = str(tmp_path / "lake")
+    pq.write_table(changelog_table(1000), str(log / "000.parquet"))
+    cdc.ingest(_mk_log(0, 500), lake, num_partitions=4)
+    scans = []
+    load_records = mf.load_records
+    monkeypatch.setattr(
+        mf, "load_records", lambda d: scans.append(d) or load_records(d)
+    )
+    cdc.ingest(_mk_log(500, 800), lake, num_partitions=4)
+    assert len(scans) == 1
+    scans.clear()
+    assert cdc.tail_once(str(log), lake, num_partitions=4).num_rows > 0
+    assert len(scans) == 2
+
+
 def test_tail_resume_after_partial_first_commit(tmp_path):
     """ADVICE round-1 (high): a crash that committed SOME partitions before a
     straggler partition's first-ever commit must not lose that partition's

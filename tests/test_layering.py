@@ -1,6 +1,8 @@
 """Layering: the engine's lower layers (``stages/``, ``functions/``,
 ``state/``) never import from ``pipelines/`` — operators are built on the
-stages, not the other way round."""
+stages, not the other way round — and nothing outside ``state/`` touches a
+``_``-prefixed name of a ``state`` module: the lake's state rules are
+reached only through the state layer's public functions."""
 
 import ast
 import pathlib
@@ -8,20 +10,68 @@ import pathlib
 PKG = "etl_pipeline_rdf_star_ray"
 ROOT = pathlib.Path(__file__).resolve().parents[1] / PKG
 LOWER = ("stages", "functions", "state")
+STATE = f"{PKG}.state"
 
 
-def _imported_modules(path: pathlib.Path) -> list[str]:
-    """Absolute names of every module ``path`` imports (relative imports
-    resolved against its package; ``from X import y`` yields X and X.y)."""
+def _imports(path: pathlib.Path):
+    """``(module, name, local, target)`` for every import in ``path``:
+    relative imports resolved against its package; ``name`` is None for
+    ``import X``; the import binds ``local`` to the object named
+    ``target``."""
     package = [PKG, *path.relative_to(ROOT).parent.parts]
-    out = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            out += [a.name for a in node.names]
+            for a in node.names:
+                local = a.asname or a.name.split(".")[0]
+                yield a.name, None, local, a.name if a.asname else local
         elif isinstance(node, ast.ImportFrom):
             base = package[: len(package) - node.level + 1] if node.level else []
             mod = ".".join(base + ([node.module] if node.module else []))
-            out += [mod] + [f"{mod}.{a.name}" for a in node.names]
+            for a in node.names:
+                yield mod, a.name, a.asname or a.name, f"{mod}.{a.name}"
+
+
+def _imported_modules(path: pathlib.Path) -> list[str]:
+    """Absolute names of every module ``path`` imports (``from X import y``
+    yields X and X.y)."""
+    out = []
+    for mod, name, _local, _target in _imports(path):
+        out += [mod] + ([f"{mod}.{name}"] if name else [])
+    return out
+
+
+def _in_state(mod: str) -> bool:
+    return mod == STATE or mod.startswith(f"{STATE}.")
+
+
+def _dotted(node: ast.AST) -> list[str] | None:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and [*base, node.attr]
+    return None
+
+
+def _private_state_uses(path: pathlib.Path) -> list[str]:
+    """Every ``_``-prefixed name of a ``state`` module that ``path``
+    imports (``from ..state.manifest import _x``) or reads
+    (``mf._x`` after ``from ..state import manifest as mf``)."""
+    bound, out = {}, []
+    for mod, name, local, target in _imports(path):
+        bound[local] = target
+        if name and name.startswith("_") and _in_state(mod):
+            out.append(f"imports {target}")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        if node.attr.startswith("__") and node.attr.endswith("__"):
+            continue
+        chain = _dotted(node.value)
+        if chain and chain[0] in bound:
+            target = ".".join([bound[chain[0]], *chain[1:]])
+            if _in_state(target):
+                out.append(f"line {node.lineno} reads {target}.{node.attr}")
     return out
 
 
@@ -32,5 +82,15 @@ def test_lower_layers_never_import_pipelines():
         for path in sorted((ROOT / layer).rglob("*.py"))
         for mod in _imported_modules(path)
         if mod == f"{PKG}.pipelines" or mod.startswith(f"{PKG}.pipelines.")
+    ]
+    assert not bad, "\n".join(bad)
+
+
+def test_no_private_state_names_outside_state():
+    bad = [
+        f"{path.relative_to(ROOT)} {use}"
+        for path in sorted(ROOT.rglob("*.py"))
+        if path.relative_to(ROOT).parts[0] != "state"
+        for use in _private_state_uses(path)
     ]
     assert not bad, "\n".join(bad)

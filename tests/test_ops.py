@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from etl_pipeline_rdf_star_ray.pipelines import cdc, ops
+from etl_pipeline_rdf_star_ray.pipelines import cdc, derived, ops
 from etl_pipeline_rdf_star_ray.pipelines.export import export_lines, format_ntriples
 from etl_pipeline_rdf_star_ray.sources.synthetic import changelog_dataset, changelog_table
 from etl_pipeline_rdf_star_ray.state import manifest as mf
@@ -19,16 +19,26 @@ def _mk_log(lo, hi, **kw):
     return changelog_dataset(hi - lo, lsn_start=lo, **kw)
 
 
-def _lake(tmp_path):
+def _evolving_log(lo, hi):
+    """The second half of the log adds the ``tool_args`` column."""
+    return _mk_log(lo, hi, with_tool_args=lo >= MID)
+
+
+def _lake(tmp_path, factory=_mk_log):
     lake = str(tmp_path / "lake")
-    cdc.replay(_mk_log, lake, lsn_splits=[MID, N], num_partitions=8)
+    cdc.replay(factory, lake, lsn_splits=[MID, N], num_partitions=8)
     return lake
 
 
-def _oracle_diff(n_a, n_b):
-    """Independent duckdb diff oracle over the synthetic changelog."""
+def _oracle_diff(n_a, n_b, log=None):
+    """Independent duckdb diff oracle over the synthetic changelog (every
+    payload column of ``log`` compared NULL-safely)."""
+    log = changelog_table(N) if log is None else log
     con = duckdb.connect()
-    con.register("log", changelog_table(N))
+    con.register("log", log)
+    payload = [c for c in ("text", "role", "tool", "ts", "tool_args")
+               if c in log.column_names]
+    same = " AND ".join(f"a.{c} IS NOT DISTINCT FROM b.{c}" for c in payload)
     snap = """
       SELECT * FROM (
         SELECT *, row_number() OVER (PARTITION BY conv_id, turn_idx
@@ -43,11 +53,8 @@ def _oracle_diff(n_a, n_b):
                coalesce(a.turn_idx, b.turn_idx) turn_idx,
                CASE WHEN a.conv_id IS NULL THEN 'added'
                     WHEN b.conv_id IS NULL THEN 'removed'
-                    WHEN a.text IS NOT DISTINCT FROM b.text
-                     AND a.role IS NOT DISTINCT FROM b.role
-                     AND a.tool IS NOT DISTINCT FROM b.tool
-                     AND a.ts   IS NOT DISTINCT FROM b.ts
-                    THEN 'unchanged' ELSE 'modified' END AS change_type
+                    WHEN {same} THEN 'unchanged' ELSE 'modified' END
+                 AS change_type
         FROM a FULL OUTER JOIN b
           ON a.conv_id = b.conv_id AND a.turn_idx = b.turn_idx
         ORDER BY conv_id, turn_idx
@@ -56,15 +63,34 @@ def _oracle_diff(n_a, n_b):
 
 
 def test_diff_matches_oracle(tmp_path):
-    lake = _lake(tmp_path)
-    got = (
-        ops.diff(lake, MID - 1, N - 1)
-        .to_pandas()
-        .sort_values(["conv_id", "turn_idx"])
-        .reset_index(drop=True)
+    """Also across a schema-evolution boundary (``tool_args`` appears in the
+    second half); on the same lake ``derived.changed_rows`` retracts every
+    removed/modified key and asserts every added/modified one."""
+    evolved = pa.concat_tables(
+        [
+            changelog_table(MID),
+            changelog_table(N - MID, lsn_start=MID, with_tool_args=True),
+        ],
+        promote_options="default",
     )
-    expect = _oracle_diff(MID, N).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, expect, check_dtype=False)
+    for name, factory, log in [
+        ("plain", _mk_log, changelog_table(N)),
+        ("evolving", _evolving_log, evolved),
+    ]:
+        lake = _lake(tmp_path / name, factory)
+        got = (
+            ops.diff(lake, MID - 1, N - 1)
+            .to_pandas()
+            .sort_values(["conv_id", "turn_idx"])
+            .reset_index(drop=True)
+        )
+        expect = _oracle_diff(MID, N, log).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, expect, check_dtype=False)
+        n = got["change_type"].value_counts()
+        delta = derived.changed_rows(lake, MID - 1, N - 1).to_pandas()
+        d = delta["delta_op"].value_counts()
+        assert d.get(derived.DELTA_RETRACT, 0) == n.get("removed", 0) + n.get("modified", 0)
+        assert d.get(derived.DELTA_ASSERT, 0) == n.get("added", 0) + n.get("modified", 0)
 
 
 def test_diff_identical_snapshots_all_unchanged(tmp_path):

@@ -293,6 +293,22 @@ def test_q14_promo_share_hand_values(ray_session, tmp_path):
     assert got["promo_rev_c4"].tolist() == [400000]
     assert got["promo_bp"].tolist() == [8000]
 
+    # promo = 1e11 · 100 · 100 = 1e15 c4 units: promo · 10000 = 1e19 wraps
+    # in int64, so the basis-point math must run in Python ints
+    big = pa.table(
+        {
+            "l_partkey": pa.array([1, 2], pa.int64()),
+            "l_extendedprice": pa.array([1e11, 1e11]),
+            "l_discount": pa.array([0.0, 0.0]),
+            "l_shipdate": pa.array([D, D], pa.timestamp("us")),
+        }
+    )
+    pq_.write_table(big, str(tmp_path / "lineitem.parquet"))
+    got = q14_promo_revenue(str(tmp_path)).to_pandas()
+    assert got["promo_rev_c4"].tolist() == [10**15]
+    assert got["total_rev_c4"].tolist() == [2 * 10**15]
+    assert got["promo_bp"].tolist() == [5000]
+
 
 def test_q14_all_dropped_rows_yield_nulls(ray_session, tmp_path):
     """Regression (third review pass): when NO lineitem joins part, the
