@@ -18,6 +18,7 @@ copy-on-write versions addressed by a commit manifest.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -25,7 +26,11 @@ import ray.data as rd
 
 from ..schema import MANIFEST_SCHEMA
 from ..stages import exchange
-from ..stages.partition import detect_hot_convs, make_partition_stage
+from ..stages.partition import (
+    detect_hot_convs,
+    hot_candidates,
+    make_partition_stage,
+)
 from ..state import manifest as mf
 
 
@@ -54,22 +59,27 @@ def ingest(
     (``stages/exchange.exchange_ingest``): no sort shuffle, one
     merge+commit task per touched partition. ``transport`` picks its data
     plane (``"auto"``: ranges on one node, slice objects on several).
-    """
-    default_meta = mf.TableMeta(
-        num_partitions=num_partitions, salt_buckets=salt_buckets
-    )
-    if hot_convs == "auto":
-        # decided once, at table creation, then pinned in _meta.json so the
-        # key→partition mapping is stable for the table's lifetime
-        if not os.path.exists(os.path.join(lake_dir, mf.META_FILE)):
-            default_meta.hot_convs = detect_hot_convs(
-                changelog, num_partitions=num_partitions
-            )
-    elif hot_convs:
-        default_meta.hot_convs = sorted(hot_convs)
 
+    ``hot_convs="auto"`` on a fresh lake finds the hot set in the same
+    read: each routed block reports its candidate conversations, and
+    :func:`stages.partition.detect_hot_convs` counts them exactly and
+    salts their rows before the first merge. The set is exact, and it is
+    pinned in ``_meta.json`` before any partition commits. On a lake that
+    exists, the pinned set is used and nothing is detected.
+    """
+    meta = mf.TableMeta(num_partitions=num_partitions, salt_buckets=salt_buckets)
     os.makedirs(lake_dir, exist_ok=True)
-    meta = mf.load_or_create_meta(lake_dir, default_meta)
+    # the hot set is decided once, at table creation, then pinned in
+    # _meta.json so the key→partition mapping is stable for the table's
+    # lifetime; "auto" on a fresh lake finds it in this ingest's routed
+    # blocks and pins it before the first merge (pin_hot_set below)
+    detect = hot_convs == "auto" and not os.path.exists(
+        os.path.join(lake_dir, mf.META_FILE)
+    )
+    if not detect:
+        if hot_convs != "auto":
+            meta.hot_convs = sorted(hot_convs or [])
+        meta = mf.load_or_create_meta(lake_dir, meta)
     # one manifest scan: the watermarks ARE the active versions' lsn_hi
     versions = mf.active_versions(lake_dir)
     wm = {p: r.lsn_hi for p, r in versions.items()}
@@ -90,12 +100,33 @@ def ingest(
         # O(partitions x sub-batches)
         stage, batch_format="pyarrow", batch_size=None
     )
+
+    hooks = {}
+    if detect:
+
+        def pin_hot_set(pid_slices: dict, candidates: list) -> None:
+            meta.hot_convs = detect_hot_convs(
+                pid_slices,
+                candidates,
+                num_partitions=meta.num_partitions,
+                salt_buckets=meta.salt_buckets,
+                key_hash=meta.key_hash,
+            )
+            # before any merge: a crash up to here re-detects on re-run,
+            # one after it reuses the pinned set
+            mf.load_or_create_meta(lake_dir, meta)
+
+        hooks = {
+            "probe": partial(hot_candidates, num_partitions=meta.num_partitions),
+            "on_routed": pin_hot_set,
+        }
     recs = exchange.exchange_ingest(
         partitioned,
         lake_dir,
         batch_id=batch_id,
         active_files=active,
         transport=transport,
+        **hooks,
     )
     return _manifest_table([mf.CommitRecord(**r) for r in recs])
 

@@ -295,15 +295,17 @@ def q10_returned_item_revenue(
         return g.rename_columns(["o_custkey", "revenue_c4"])
 
     def shard_topk(s: pd.DataFrame) -> pd.DataFrame:
+        # min_count=1: a customer whose revenue is all NULL keeps a NULL
+        # sum, as in SQL, and sorts after every non-NULL revenue
         g = (
             s.groupby("o_custkey", sort=False)["revenue_c4"]
-            .sum()
+            .sum(min_count=1)
             .reset_index()
         )
         return g.sort_values(
             ["revenue_c4", "o_custkey"], ascending=[False, True],
             kind="mergesort",
-        ).head(k).astype({"o_custkey": np.int64, "revenue_c4": np.int64})
+        ).head(k).astype({"o_custkey": np.int64, "revenue_c4": "Int64"})
 
     # the oracle's JOIN customer (and JOIN nation) is a MEMBERSHIP filter
     # before LIMIT: a dangling custkey — or a customer whose nationkey is
@@ -336,7 +338,10 @@ def q10_returned_item_revenue(
         cust_rev,
         lambda b: _group_key_hash(b, ["o_custkey"]),
         shard_topk,
+        nullable_ints=True,
     ).to_pandas()
+    # a NULL revenue arrives as a float NaN; back to nullable int64
+    survivors["revenue_c4"] = survivors["revenue_c4"].astype("Int64")
 
     keys = survivors["o_custkey"].astype(np.int64).tolist()
     cust = read_parquet_clean(

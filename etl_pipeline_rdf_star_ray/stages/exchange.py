@@ -19,6 +19,12 @@ is run-aware and the row-conservation check in :func:`_route` holds for
 any layout); a producer that forgets to cluster stays correct but fans in
 one slice per ROW instead of one per batch.
 
+A caller may act on the routing table before the first merge: ``probe``
+runs inside every block's routing task, ``on_routed`` sees the table and
+the probe results on the driver, and :func:`reroute` re-tags chosen
+partitions in place. The CDC ingest finds and salts a fresh lake's hot
+conversations this way, without a second read of its input.
+
 Why not a Ray Data ``groupby`` on ``partition_id``: on one 32-CPU node Ray
 Data's sort-based shuffle of the change log topped out near ~450k events/s
 REGARDLESS of CPU count (a serial merge phase dominates; 8→32 CPUs gave
@@ -99,12 +105,14 @@ def _pid_runs(block: pa.Table) -> list:
 
 
 @ray.remote(num_cpus=0)
-def _block_ranges(block: pa.Table) -> list:
+def _block_ranges(block: pa.Table, probe=None):
     """The exchange's routing function: :func:`_pid_runs` of one block,
     run next to the block so only the run list reaches the driver. The
     block itself is never copied. ``num_cpus=0``: microseconds of work,
-    must not compete with read/merge tasks for slots."""
-    return _pid_runs(block)
+    must not compete with read/merge tasks for slots. With a ``probe``,
+    returns ``(runs, probe(block))`` (see :func:`_route`)."""
+    runs = _pid_runs(block)
+    return runs if probe is None else (runs, probe(block))
 
 
 def _fetch_slices(chunk_slices: list) -> list[pa.Table]:
@@ -128,7 +136,7 @@ def _fetch_slices(chunk_slices: list) -> list[pa.Table]:
 
 
 @ray.remote(num_cpus=1)
-def _slice_block(block: pa.Table, n_groups: int = 1) -> list:
+def _slice_block(block: pa.Table, n_groups: int = 1, probe=None):
     """Multi-node transport: materialize each DESTINATION NODE's rows of
     one block as one compact object-store object, returning
     ``[(pid, ref, start, len)]`` — per-pid zero-copy spans within the
@@ -150,6 +158,7 @@ def _slice_block(block: pa.Table, n_groups: int = 1) -> list:
     One object per (block, node) cuts puts per block from num_partitions to
     num_nodes; a task rescheduled off its node (soft affinity, node loss)
     just fetches its group object remotely — correctness unaffected.
+    With a ``probe``, returns ``(spans, probe(block))`` (see :func:`_route`).
     """
     runs_by_pid: dict[int, list] = {}
     for pid, s, n in _pid_runs(block):
@@ -169,7 +178,7 @@ def _slice_block(block: pa.Table, n_groups: int = 1) -> list:
         part = block.take(pa.array(np.concatenate(idxs)))
         ref = ray.put(part)
         out.extend((pid, ref, start, ln) for pid, start, ln in spans)
-    return out
+    return out if probe is None else (out, probe(block))
 
 
 @ray.remote(num_cpus=1)
@@ -238,12 +247,12 @@ def _alive_node_ids() -> list[str]:
         return []
 
 
-def _route(
-    partitioned, transport: str = "ranges"
-) -> tuple[dict[int, list], dict[int, str]]:
+def _route(partitioned, transport: str = "ranges", probe=None) -> tuple:
     """Stream the partitioned dataset's block refs and build the
     ``{pid: [(ref, start, len)]}`` routing table, plus the merge-task
     node-affinity map ``{pid: node_id}`` (empty for the ranges transport).
+    With a ``probe``, each block's routing task also runs ``probe(block)``
+    and a third element lists those results, one per routed block.
 
     ``transport="ranges"`` routes metadata only (:func:`_block_ranges`) —
     merge tasks slice the original blocks zero-copy. ``transport="slices"``
@@ -275,13 +284,19 @@ def _route(
             expected_rows += n
         for block_ref in bundle.block_refs:
             if transport == "slices":
-                pending.append((_slice_block.remote(block_ref, n_groups), None))
+                pending.append(
+                    (_slice_block.remote(block_ref, n_groups, probe), None)
+                )
             else:
-                pending.append((_block_ranges.remote(block_ref), block_ref))
+                pending.append((_block_ranges.remote(block_ref, probe), block_ref))
     pid_slices: dict[int, list] = {}
+    probed = []
     routed_rows = 0
     metas = ray.get([m for m, _b in pending])
     for runs, (_m, block_ref) in zip(metas, pending):
+        if probe is not None:
+            runs, found = runs
+            probed.append(found)
         # ranges: (pid, start, len) within block_ref; slices: (pid, group
         # object ref, start, len)
         for pid, *span in runs:
@@ -299,7 +314,9 @@ def _route(
     affinity = (
         {pid: nodes[pid % n_groups] for pid in pid_slices} if nodes else {}
     )
-    return pid_slices, affinity
+    if probe is None:
+        return pid_slices, affinity
+    return pid_slices, affinity, probed
 
 
 def _merge_opts(pid: int, affinity: dict[int, str]) -> dict:
@@ -319,14 +336,57 @@ def _merge_opts(pid: int, affinity: dict[int, str]) -> dict:
     }
 
 
-def _routed(partitioned, transport: str) -> list[tuple[int, list, dict]]:
+def _routed(
+    partitioned, transport: str, probe=None, on_routed=None
+) -> list[tuple[int, list, dict]]:
     """Route ``partitioned`` (see :func:`_route`) and return one
-    ``(pid, slices, task_options)`` entry per partition, ascending pid."""
-    pid_slices, affinity = _route(partitioned, _resolve_transport(transport))
+    ``(pid, slices, task_options)`` entry per partition, ascending pid.
+    ``on_routed(pid_slices, probed)`` sees the routing table and the
+    per-block ``probe`` results before any task consumes the table, and
+    may rewrite it in place (:func:`reroute`)."""
+    routed = _route(partitioned, _resolve_transport(transport), probe)
+    pid_slices, affinity = routed[:2]
+    if probe is not None:
+        on_routed(pid_slices, routed[2])
     return [
         (pid, slices, _merge_opts(pid, affinity))
         for pid, slices in sorted(pid_slices.items())
     ]
+
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _reroute_task(chunk_slices: list, fn):
+    out, info = fn(concat_evolving(_fetch_slices(chunk_slices)))
+    if out is None:
+        return None, (info, None)
+    out = cluster_by_pid(out)
+    return out, (info, _pid_runs(out))
+
+
+def reroute(pid_slices: dict[int, list], fns: dict) -> dict:
+    """Re-tag the rows of some routed partitions and swap the result into
+    the routing table ``pid_slices`` in place, one task per partition.
+
+    ``fns[pid](rows)`` receives partition ``pid``'s rows and returns
+    ``(retagged, info)``: ``retagged`` is the rows with a new
+    ``partition_id`` column, or None to leave the partition as routed. A
+    retagged partition becomes one pid-clustered object whose runs replace
+    that partition's slices; the other partitions' slices are untouched.
+    Returns ``{pid: info}``."""
+    pids = sorted(fns)
+    tasks = [_reroute_task.remote(pid_slices[pid], fns[pid]) for pid in pids]
+    metas = ray.get([meta for _obj, meta in tasks])
+    # drop every retagged partition's slices before adding any new run: a
+    # run may land in another partition that is itself being retagged
+    moved = []
+    for pid, (obj, _m), (_info, runs) in zip(pids, tasks, metas):
+        if runs is not None:
+            del pid_slices[pid]
+            moved.append((obj, runs))
+    for obj, runs in moved:
+        for pid, start, length in runs:
+            pid_slices.setdefault(pid, []).append((obj, start, length))
+    return {pid: info for pid, (info, _runs) in zip(pids, metas)}
 
 
 def _as_dataset(refs: list) -> "ray.data.Dataset":
@@ -371,17 +431,20 @@ def exchange_ingest(
     batch_id: str,
     active_files: dict[int, str],
     transport: str = "auto",
+    probe=None,
+    on_routed=None,
 ) -> list[dict]:
     """Run the block exchange: stream block refs, route each block's pid
     runs, then merge+commit every partition in parallel. Returns manifest
     records. ``transport`` picks the data plane (see :func:`_route`);
     ``"auto"`` = ranges on one node, per-node slice objects on a
-    multi-node cluster."""
+    multi-node cluster. ``probe``/``on_routed`` (both or neither) hook the
+    driver in between routing and the first merge (see :func:`_routed`)."""
     refs = [
         _merge_commit_task.options(**opts).remote(
             slices, lake_dir, pid, batch_id, active_files.get(pid)
         )
-        for pid, slices, opts in _routed(partitioned, transport)
+        for pid, slices, opts in _routed(partitioned, transport, probe, on_routed)
     ]
     return ray.get(refs)
 

@@ -47,11 +47,11 @@ def detect_hot_join_keys(
     threshold: float | None = None,
     seed: int = 42,
 ) -> list:
-    """Cheap skew pre-pass for :func:`hash_join_sharded` — the join-key
-    analog of ``stages/partition.detect_hot_convs``: stratified sample
-    (randomized block order, then row cap), per-batch ``value_counts``
-    partials, keys whose sampled share exceeds half a shard's fair share
-    flagged. Bounded driver-side reduction, no shuffle."""
+    """Cheap skew pre-pass for :func:`hash_join_sharded`: stratified
+    sample (randomized block order, then row cap), per-batch
+    ``value_counts`` partials, keys whose sampled share exceeds half a
+    shard's fair share flagged. Bounded driver-side reduction, no
+    shuffle."""
     import pyarrow.compute as _pc
 
     if threshold is None:
@@ -250,7 +250,7 @@ def hash_join_sharded(
     inputs; the join output streams out as Arrow blocks.
 
     Skew: pass ``hot_keys`` (the few keys whose rows would exceed a
-    worker's heap — detect like ``stages/partition.detect_hot_convs``) to
+    worker's heap — :func:`detect_hot_join_keys` finds them) to
     SALT them: a hot key's LEFT rows spread cyclically over
     ``salt_buckets`` consecutive shards, and its RIGHT rows replicate into
     all of them (broadcast-the-build-side-of-one-key, the standard skew

@@ -11,7 +11,10 @@ correctness is preserved without a second merge pass (SURVEY.md §7.5.2).
 The hot-conversation set is decided once per lake table and persisted in the
 table metadata, so the key→partition mapping is stable across every later
 ingest (a requirement the reference never faces: its single in-memory store is
-one "partition", ``rdf_star_etl_yarrrml.py:131``).
+one "partition", ``rdf_star_etl_yarrrml.py:131``). It is found while the
+table's first ingest runs, from the blocks its exchange has already routed
+(:func:`detect_hot_convs`): the change log is read once, and the set is exact
+— every conversation above :func:`hot_share` of the log, whatever its size.
 
 The watermark filter drops events already committed to their partition
 (``lsn <= watermark[pid]``) — replay idempotence and resume-from-checkpoint
@@ -22,14 +25,14 @@ happen HERE, before the exchange, so replayed data never moves (SURVEY.md
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import combine64, hash64_column, xxh64_column
-from .exchange import cluster_by_pid
+from .exchange import cluster_by_pid, reroute
 
 #: key-hash implementations a lake table can pin (TableMeta.key_hash):
 #: "xxh64"  — vectorized C hashing, right for high-cardinality keys;
@@ -114,55 +117,120 @@ def make_partition_stage(
     return stage
 
 
-def detect_hot_convs(
-    ds,
+def hot_share(num_partitions: int) -> float:
+    """The share of a log above which one conversation counts as hot: half
+    a partition's fair share concentrated in ONE conversation."""
+    return 0.5 / num_partitions
+
+
+def hot_candidates(block: pa.Table, *, num_partitions: int) -> list[str]:
+    """The conversations holding at least :func:`hot_share` of ``block``'s
+    rows — the exchange's per-block probe on a fresh lake. A conversation
+    above the share in the whole log is above it in at least one block
+    (were it below in every block, it would be below in their union), so
+    the union of the blocks' candidates contains every hot conversation."""
+    if len(block) == 0:  # len() spans pa.Table AND a passthrough pandas block
+        return []
+    vc = pc.value_counts(block.column("conv_id"))
+    conv = vc.field("values")
+    keep = pc.and_(
+        pc.greater_equal(
+            vc.field("counts"), hot_share(num_partitions) * block.num_rows
+        ),
+        pc.is_valid(conv),
+    )
+    return pc.filter(conv, keep).to_pylist()
+
+
+def _salt_hot(
+    rows: pa.Table,
+    candidates: list[str],
+    total_rows: int,
     *,
     num_partitions: int,
-    sample_rows: int | None = 200_000,
-    threshold: float | None = None,
-    seed: int = 42,
+    salt_buckets: int,
+    key_hash: str,
+):
+    """One home partition's step of :func:`detect_hot_convs`: count its
+    ``candidates`` exactly, keep those above :func:`hot_share` of
+    ``total_rows``, and re-tag their rows with the salted partition ids.
+    Returns ``(retagged rows or None, hot)`` for :func:`exchange.reroute`."""
+    conv = rows.column("conv_id").combine_chunks()
+    vc = pc.value_counts(
+        pc.filter(conv, pc.is_in(conv, value_set=pa.array(candidates, pa.string())))
+    )
+    hot = sorted(
+        c
+        for c, n in zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist())
+        if n / total_rows > hot_share(num_partitions)
+    )
+    pid = partition_ids(
+        conv,
+        rows.column("turn_idx").to_numpy(),
+        num_partitions=num_partitions,
+        salt_buckets=salt_buckets,
+        hot_set=frozenset(hot),
+        key_hash=key_hash,
+    )
+    col = rows.schema.get_field_index(PARTITION_COL)
+    if np.array_equal(pid, rows.column(col).to_numpy()):
+        return None, hot
+    return rows.set_column(col, PARTITION_COL, pa.array(pid, pa.int32())), hot
+
+
+def detect_hot_convs(
+    pid_slices: dict[int, list],
+    candidates: list[list[str]],
+    *,
+    num_partitions: int,
+    salt_buckets: int,
+    key_hash: str = "xxh64",
 ) -> list[str]:
-    """Cheap hot-key pre-pass (SURVEY.md §4.2 "skew"): STRATIFIED sample of
-    the change log — block order is randomized (a free metadata operation)
-    before the row cap, so the sample covers the whole log instead of its
-    head (round-1 verdict fix: a conversation that only turns hot later in
-    the log was invisible to a head sample). Events per conversation are
-    counted with a per-batch ``Counter`` partial; conversations whose
-    sampled share would materially skew a partition are flagged
-    (share > ``threshold``, default ``0.5 / num_partitions`` — half a
-    partition's fair share concentrated in ONE conversation).
+    """The hot conversations of a fresh lake's first ingest, found in the
+    blocks its exchange has already routed — the log is read once.
 
-    ``sample_rows=None`` runs the exact full pass. This is a bounded
-    driver-side reduction over tiny per-batch partials — not a shuffle and
-    not a full materialization.
+    The partition stage ran with an empty hot set, so every row of a
+    conversation sits in that conversation's unsalted home partition.
+    ``candidates`` holds each routed block's :func:`hot_candidates`; one
+    task per candidate home partition recounts them exactly over that
+    partition's slices, keeps those whose share of the whole log exceeds
+    :func:`hot_share`, and salts their rows (:func:`exchange.reroute`
+    swaps the re-tagged rows into ``pid_slices`` in place; the other
+    partitions are not touched). A log without candidates costs only the
+    per-block count.
 
-    A conversation that turns hot only AFTER the table was created is
-    handled by the ``ops.resalt`` migration (the hot set is otherwise pinned
-    in ``_meta.json`` for mapping stability).
+    The result is exact. The caller pins it in ``_meta.json`` before any
+    merge, so the key→partition mapping is fixed for the table's
+    lifetime; a conversation that turns hot later is handled by the
+    ``ops.resalt`` migration.
     """
-    if threshold is None:
-        threshold = 0.5 / num_partitions
-
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = batch.column("conv_id").value_counts()
-        return pa.table(
-            {
-                "conv_id": vc.field("values"),
-                "n": vc.field("counts"),
-            }
-        )
-
-    sampled = ds
-    if sample_rows is not None:
-        sampled = sampled.randomize_block_order(seed=seed).limit(sample_rows)
-    total = 0
-    counts: Counter = Counter()
-    for b in sampled.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for conv, n in zip(b.column("conv_id").to_pylist(), b.column("n").to_pylist()):
-            counts[conv] += n
-            total += n
-    if total == 0:
+    cands = sorted({c for found in candidates for c in found})
+    if not cands:
         return []
-    return sorted(c for c, n in counts.items() if n / total > threshold)
+    total = sum(n for slices in pid_slices.values() for _ref, _s, n in slices)
+    home = partition_ids(
+        pa.array(cands, pa.string()),
+        np.zeros(len(cands), np.int32),
+        num_partitions=num_partitions,
+        salt_buckets=salt_buckets,
+        hot_set=frozenset(),
+        key_hash=key_hash,
+    )
+    by_home: dict[int, list[str]] = {}
+    for conv, pid in zip(cands, home.tolist()):
+        by_home.setdefault(pid, []).append(conv)
+    found = reroute(
+        pid_slices,
+        {
+            pid: partial(
+                _salt_hot,
+                candidates=convs,
+                total_rows=total,
+                num_partitions=num_partitions,
+                salt_buckets=salt_buckets,
+                key_hash=key_hash,
+            )
+            for pid, convs in by_home.items()
+        },
+    )
+    return sorted(c for hot in found.values() for c in hot)

@@ -247,6 +247,89 @@ def test_hot_conv_auto_detection_pinned_in_meta(tmp_path):
     assert "conv_hot" in meta.hot_convs
 
 
+def test_fresh_auto_ingest_reads_log_once(tmp_path):
+    """Detecting a fresh lake's hot set rides on the ingest's own read: the
+    change log's producer sees every row exactly once."""
+    seen = tmp_path / "rows.txt"
+
+    def tap(batch: pa.Table) -> pa.Table:
+        with open(seen, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return batch
+
+    log = _mk_log(0, N_EVENTS).map_batches(tap, batch_format="pyarrow")
+    cdc.ingest(log, str(tmp_path / "lake"), num_partitions=8, hot_convs="auto")
+    assert sum(map(int, seen.read_text().split())) == N_EVENTS
+
+
+def _oracle_hot(table: pa.Table, num_partitions: int) -> list[str]:
+    con = duckdb.connect()
+    con.register("log", table)
+    return [
+        r[0]
+        for r in con.sql(
+            f"""SELECT conv_id FROM log GROUP BY conv_id
+                HAVING count(*)::DOUBLE / (SELECT count(*) FROM log)
+                       > 0.5 / {num_partitions}
+                ORDER BY conv_id"""
+        ).fetchall()
+    ]
+
+
+def test_auto_hot_set_is_exact(tmp_path):
+    """``hot_convs="auto"`` on a fresh lake pins exactly the conversations
+    whose share of the first ingest exceeds 0.5/P — here many sit close to
+    that line — salts them, and gives the same lake on both transports."""
+    P, n, half = 32, 6000, 3000
+    knobs = dict(hot_frac=0.3, n_convs=45)
+    first = changelog_table(half, **knobs)
+    full = pa.concat_tables(
+        [first, changelog_table(n - half, lsn_start=half, with_tool_args=True,
+                                **knobs)],
+        promote_options="permissive",
+    )
+    want_hot = _oracle_hot(first, P)
+    assert len(want_hot) >= 2 and "conv_hot" in want_hot
+
+    lakes = {}
+    for transport in ("ranges", "slices"):
+        lake = str(tmp_path / transport)
+        cdc.ingest(_mk_log(0, half, override_num_blocks=5, **knobs), lake,
+                   num_partitions=P, hot_convs="auto", transport=transport)
+        cdc.ingest(_mk_log(half, n, with_tool_args=True, **knobs), lake,
+                   num_partitions=P, hot_convs="auto", transport=transport)
+        assert mf.load_meta(lake).hot_convs == want_hot
+        st = state_table(lake).to_pandas()
+        assert not st.duplicated(["conv_id", "turn_idx"]).any()
+        spread = st[st.conv_id.isin(want_hot)].groupby("conv_id").partition_id
+        assert (spread.nunique() > 1).all()
+        assert_frames_equal(st.drop(columns=["partition_id"]), oracle_replay(full))
+        with open(os.path.join(lake, mf.META_FILE)) as f:
+            lakes[transport] = (f.read(), st)
+    assert lakes["ranges"][0] == lakes["slices"][0]
+    assert_frames_equal(lakes["ranges"][1], lakes["slices"][1])
+
+
+def test_auto_reuses_pinned_hot_set(tmp_path, monkeypatch):
+    """A lake whose ``_meta.json`` already pins a hot set never re-detects."""
+    lake = str(tmp_path / "lake")
+    mf.load_or_create_meta(
+        lake, mf.TableMeta(num_partitions=8, hot_convs=["conv_3"])
+    )
+
+    def boom(*a, **kw):
+        raise AssertionError("detection ran on a pinned lake")
+
+    monkeypatch.setattr(cdc, "detect_hot_convs", boom)
+    cdc.ingest(_mk_log(0, 2000), lake, num_partitions=8, hot_convs="auto")
+    assert mf.load_meta(lake).hot_convs == ["conv_3"]
+    st = state_table(lake).to_pandas()
+    assert st[st.conv_id == "conv_3"].partition_id.nunique() > 1
+    assert_frames_equal(
+        st.drop(columns=["partition_id"]), oracle_replay(changelog_table(2000))
+    )
+
+
 def test_upsert_dataset_matches_oracle():
     got = cdc.upsert_dataset(
         changelog_dataset(3000), num_partitions=8,

@@ -94,3 +94,14 @@ def test_no_private_state_names_outside_state():
         for use in _private_state_uses(path)
     ]
     assert not bad, "\n".join(bad)
+
+
+def test_perfbench_tracer_names_exist(monkeypatch):
+    """The benchmark's tracer wraps engine functions by name; renaming or
+    removing one of them must fail here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT.parent / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    tracer.uninstall()

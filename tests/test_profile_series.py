@@ -340,3 +340,64 @@ def test_q14_all_dropped_rows_yield_nulls(ray_session, tmp_path):
     assert got["promo_bp"].isna().tolist() == [True]
     assert got["promo_rev_c4"].isna().tolist() == [True]
     assert got["total_rev_c4"].isna().tolist() == [True]
+
+
+def test_q10_all_null_revenue_stays_null(ray_session, tmp_path):
+    """A customer whose returned lineitems all have a NULL
+    ``l_extendedprice`` has NULL revenue in SQL (a sum over NULLs), which
+    ``ORDER BY revenue_c4 DESC`` puts after every non-NULL revenue — not
+    a revenue of 0. ``k`` (20) exceeds the customer count, so every
+    customer is in the answer."""
+    import duckdb
+    import numpy as np
+    import pyarrow.parquet as pq_
+
+    from etl_pipeline_rdf_star_ray.pipelines.tpch import q10_returned_item_revenue
+    from etl_pipeline_rdf_star_ray.queries import ORACLE_Q10
+
+    D = np.datetime64("1996-02-01", "us")
+    tables = {
+        "nation": pa.table(
+            {"n_nationkey": pa.array([0, 1], pa.int64()), "n_name": ["A", "B"]}
+        ),
+        "customer": pa.table(
+            {
+                "c_custkey": pa.array([1, 2, 3], pa.int64()),
+                "c_name": ["c1", "c2", "c3"],
+                "c_acctbal": [1.5, -2.25, 3.0],
+                "c_nationkey": pa.array([0, 1, 0], pa.int64()),
+            }
+        ),
+        "orders": pa.table(
+            {
+                "o_orderkey": pa.array([10, 20, 30, 31], pa.int64()),
+                "o_custkey": pa.array([1, 2, 3, 3], pa.int64()),
+                "o_orderdate": pa.array([D] * 4, pa.timestamp("us")),
+            }
+        ),
+        "lineitem": pa.table(
+            {
+                "l_orderkey": pa.array([10, 10, 20, 30, 31], pa.int64()),
+                # customer 3's returned lineitems are all NULL-priced
+                "l_extendedprice": pa.array([10.0, 5.0, 0.5, None, None]),
+                "l_discount": [0.1, 0.0, 0.0, 0.0, 0.2],
+                "l_returnflag": ["R", "R", "R", "R", "R"],
+            }
+        ),
+    }
+    con = duckdb.connect()
+    for name, t in tables.items():
+        pq_.write_table(t, str(tmp_path / f"{name}.parquet"))
+        con.sql(
+            f"CREATE VIEW {name} AS SELECT * FROM '{tmp_path}/{name}.parquet'"
+        )
+    want = con.sql(ORACLE_Q10).fetchall()
+    got = q10_returned_item_revenue(str(tmp_path)).to_pandas()
+    got = [
+        tuple(None if v is pa.NA or v != v else v for v in row)
+        for row in got[
+            ["c_custkey", "c_name", "revenue_c4", "acctbal_c", "n_name"]
+        ].astype(object).itertuples(index=False)
+    ]
+    assert want[-1][0] == 3 and want[-1][2] is None
+    assert got == want

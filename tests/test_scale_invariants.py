@@ -131,16 +131,19 @@ def _late_hot_log(n=4000, hot="conv_late_hot"):
     )
 
 
-def test_stratified_detection_sees_late_hot_conv():
+def test_stratified_detection_sees_late_hot_conv(tmp_path):
+    """A conversation that is hot only in the second half of the log is
+    still detected when the log creates the lake (a head sample of the log
+    would miss it entirely)."""
     import ray.data as rd
 
-    from etl_pipeline_rdf_star_ray.stages.partition import detect_hot_convs
+    from etl_pipeline_rdf_star_ray.pipelines import cdc
+    from etl_pipeline_rdf_star_ray.state import manifest as mf
 
+    lake = str(tmp_path / "lake")
     ds = rd.from_arrow(_late_hot_log()).repartition(16)
-    # head-limited sample_rows smaller than the first (hot-free) half: a
-    # head sample would miss the conversation entirely
-    hot = detect_hot_convs(ds, num_partitions=8, sample_rows=1500)
-    assert "conv_late_hot" in hot
+    cdc.ingest(ds, lake, num_partitions=8, hot_convs="auto")
+    assert "conv_late_hot" in mf.load_meta(lake).hot_convs
 
 
 def test_resalt_migrates_late_hot_conversation(tmp_path):
