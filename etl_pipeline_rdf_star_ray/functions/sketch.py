@@ -96,7 +96,7 @@ def hll_distinct_grouped(
 ):
     """Per-group approximate distinct counts: each batch emits one partial
     register row per key present in the batch; rows hash-shard on key and
-    one task per shard merges + estimates every key of the shard (no
+    one call per shard merges + estimates every key of the shard (no
     per-group Python calls — ``stages/exchange.sharded_groups`` shape).
 
     Returns a Dataset of ``(key_col, approx_distinct: int64)``."""

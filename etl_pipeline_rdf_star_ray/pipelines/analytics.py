@@ -564,7 +564,7 @@ def turn_gaps(state: "rd.Dataset", *, num_shards: int = 64) -> "rd.Dataset":
     (``lag() OVER (PARTITION BY conv_id ORDER BY turn_idx)``) operator.
 
     Conversations are hash-sharded (all turns of one conv land in one
-    shard); one task per shard computes every conversation's lag in a single
+    shard); one call per shard computes every conversation's lag in a single
     vectorized pandas pass — same de-grouped shape as
     :func:`user_sessions`. Output: ``(conv_id, turn_idx, gap_us)``."""
     from ..functions.hashing import xxh64_column
@@ -892,7 +892,7 @@ def _hist_group_stats(sf_dir: str, names: list[str], group_stat):
     """Shared scaffolding for every histogram-walk statistic
     (:func:`grouped_quantiles`, :func:`grouped_quantiles_cont`,
     :func:`grouped_mad`): build the summed per-group value histogram once,
-    then one shard task per group hash calls ``group_stat(vals, cnt, cum,
+    then one shard call per group hash runs ``group_stat(vals, cnt, cum,
     n)`` with the value-sorted histogram arrays and emits the named int64
     stat columns."""
     from ..stages.exchange import sharded_groups

@@ -56,9 +56,10 @@ def ingest(
     already-committed events and nothing is rewritten.
 
     The partitioned log goes through the block exchange
-    (``stages/exchange.exchange_ingest``): no sort shuffle, one
-    merge+commit task per touched partition. ``transport`` picks its data
-    plane (``"auto"``: ranges on one node, slice objects on several).
+    (``stages/exchange.exchange_ingest``): no sort shuffle; the touched
+    partitions are packed into one merge+commit task per CPU, which merges
+    and commits them one by one. ``transport`` picks its data plane
+    (``"auto"``: ranges on one node, slice objects on several).
 
     ``hot_convs="auto"`` on a fresh lake finds the hot set in the same
     read: each routed block reports its candidate conversations, and

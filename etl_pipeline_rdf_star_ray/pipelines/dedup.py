@@ -666,7 +666,7 @@ def ngram_jaccard_pairs(
 
     from ..functions.hashing import hash64_column
 
-    # blocks are hash-colocated over the exchange (one task per shard, the
+    # blocks are hash-colocated over the exchange (one call per shard, the
     # O(n²)-within-block loop runs per block inside) — no per-group task,
     # no sort shuffle (round-3)
     return sharded_groups(

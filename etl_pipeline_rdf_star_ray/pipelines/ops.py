@@ -160,10 +160,10 @@ def value_history(changelog: "rd.Dataset", *, num_partitions: int = 64) -> "rd.D
     (``sparql/batch_queries.rq:482-530``) at row granularity.
 
     Rides the block exchange: the partition stage pid-sorts each block in
-    the fused read task, ``exchange_apply`` routes block slices by
-    ``partition_id`` driver-side, and one task per partition runs the
-    vectorized pandas aggregation (round-3: replaced a Ray sort-shuffle
-    groupby and its ~3 s fixed cost)."""
+    its own ``map_batches`` task, ``exchange_apply`` routes block slices by
+    ``partition_id`` driver-side, and one call per partition runs the
+    vectorized pandas aggregation, in one task per CPU (round-3: replaced
+    a Ray sort-shuffle groupby and its ~3 s fixed cost)."""
     from ..stages.exchange import exchange_apply
     from ..stages.partition import make_partition_stage
 
@@ -217,8 +217,8 @@ def scd2_intervals(
     still current. The classic warehouse dimension-history table, derived
     in one pass from the same CDC stream the lake ingests.
 
-    Rides the block exchange exactly like :func:`value_history`: the fused
-    partition stage pid-sorts each block, driver routes slices, one task
+    Rides the block exchange exactly like :func:`value_history`: the
+    partition stage pid-sorts each block, driver routes slices, one call
     per partition runs a vectorized shift-compare — the ``lead()`` needs
     only key-colocated order, which the conv-hash partition plane already
     provides. ``to_lsn`` is nullable int64; lsn values are event ids (far

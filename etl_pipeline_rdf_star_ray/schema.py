@@ -147,9 +147,15 @@ def conform(table: pa.Table, schema: pa.Schema) -> pa.Table:
 
 
 def concat_evolving(tables: list[pa.Table]) -> pa.Table:
-    """Concatenate tables whose schemas may differ by added columns."""
+    """Concatenate tables whose schemas may differ by added columns. Tables
+    that all share one schema are concatenated as they are; only schemas
+    that really differ are unified and conformed (typed NULLs fill the
+    columns a table lacks)."""
     tables = [t for t in tables if t is not None]
     if not tables:
         raise ValueError("no tables to concatenate")
+    first = tables[0].schema
+    if all(t.schema.equals(first) for t in tables[1:]):
+        return pa.concat_tables(tables)
     target = unify(*[t.schema for t in tables])
     return pa.concat_tables([conform(t, target) for t in tables])

@@ -187,7 +187,7 @@ def asof_join_sharded(
 ):
     """Sharded as-of join for a large right side: union the two sides into
     one tagged common-schema stream, hash-shard on the key, pandas
-    ``merge_asof`` per shard (C-speed sorted merge; one task per shard)."""
+    ``merge_asof`` per shard (C-speed sorted merge; one call per shard)."""
     right_on = right_on or on
     right_by = right_by or by
     tiebreak = tiebreak or value_cols[0]
@@ -257,7 +257,7 @@ def asof_join_sharded(
             join_shard(t.to_pandas()), preserve_index=False
         ).replace_schema_metadata(None)
 
-    # one task per shard over the exchange's data plane (metadata-only
+    # one call per shard over the exchange's data plane (metadata-only
     # routing; Ray's sort groupby pays ~3s fixed per call — round-3 profile)
     return exchange_apply(unioned, run)
 

@@ -6,8 +6,13 @@ tagged dataset here. The exchange streams the dataset's OWN block refs on
 the driver (``iter_internal_ref_bundles`` — metadata only, no rows touch
 the driver), asks a ``num_cpus=0`` :func:`_block_ranges` task per block
 for its ``(pid, start, len)`` runs, and records ``{pid: [(ref, start,
-len)]}`` routing metadata driver-side. When the stream ends, one task per
-partition consumes its slices ZERO-COPY from plasma.
+len)]}`` routing metadata driver-side. When the stream ends, the
+partitions are packed into one bin per CPU (largest first by routed rows),
+and one task per bin fetches each distinct block once and runs the
+per-partition work for its partitions in ascending pid, consuming their
+slices ZERO-COPY from plasma. Sizing the tasks to the cores rather than to
+the partitions (morsel-driven execution) is what keeps a 64-partition
+ingest from paying 64 dispatches and 64 fetches of every block.
 
 **Block-layout rule: every block is pid-clustered runs.** Producers call
 :func:`cluster_by_pid` on each output batch (a stable argsort by
@@ -47,7 +52,9 @@ Correctness properties:
 - **Exactly-once sink**: merge tasks funnel into the marker-idempotent
   ``commit_partition``; re-running an ingest with the same batch id skips
   committed partitions via markers, and the watermark filter upstream
-  drops already-committed events entirely.
+  drops already-committed events entirely. A bin that dies after some of
+  its partitions committed is retried whole; the committed ones come back
+  as ``status="duplicate"``.
 - **Out-of-order arrival**: the per-partition LWW merge is order-independent
   (argmax lsn per key, tombstones applied against prior lake state).
 - **Failure recovery**: a lost block object before its merge task consumes
@@ -115,26 +122,6 @@ def _block_ranges(block: pa.Table, probe=None):
     return runs if probe is None else (runs, probe(block))
 
 
-def _fetch_slices(chunk_slices: list) -> list[pa.Table]:
-    """Resolve ``[(ref, start, len)]`` to zero-copy table views, fetching
-    each DISTINCT object exactly once with a single batched ``ray.get``.
-
-    A block can carry several runs for the same partition, and a per-slice
-    ``ray.get`` re-deserializes the block's Arrow metadata every time —
-    measured 1.6 s of a 3 s merge task at 8M events (round-3 profile)."""
-    order: list = []
-    index: dict = {}
-    for ref, _s, _l in chunk_slices:
-        if ref not in index:
-            index[ref] = len(order)
-            order.append(ref)
-    tables = ray.get(order)
-    return [
-        tables[index[ref]].slice(start, length)
-        for ref, start, length in chunk_slices
-    ]
-
-
 @ray.remote(num_cpus=1)
 def _slice_block(block: pa.Table, n_groups: int = 1, probe=None):
     """Multi-node transport: materialize each DESTINATION NODE's rows of
@@ -181,51 +168,69 @@ def _slice_block(block: pa.Table, n_groups: int = 1, probe=None):
     return out if probe is None else (out, probe(block))
 
 
-@ray.remote(num_cpus=1)
-def _merge_commit_task(
-    chunk_slices: list,
-    lake_dir: str,
-    pid: int,
-    batch_id: str,
-    prior: str | None,
-) -> dict:
-    t0 = time.monotonic()
+def _fetch_group(group: list) -> list[tuple[int, list[pa.Table]]]:
+    """Resolve one bin's ``[(pid, [(ref, start, len)])]`` to ``[(pid,
+    [view])]``, fetching each DISTINCT object exactly once with a single
+    batched ``ray.get``, however many of the bin's partitions slice it.
+
+    A block can carry several runs for the same partition, and a per-slice
+    ``ray.get`` re-deserializes the block's Arrow metadata every time —
+    measured 1.6 s of a 3 s merge task at 8M events (round-3 profile)."""
+    refs = list(dict.fromkeys(r for _pid, slices in group for r, _s, _n in slices))
+    blocks = dict(zip(refs, ray.get(refs)))
+    return [
+        (pid, [blocks[ref].slice(start, n) for ref, start, n in slices])
+        for pid, slices in group
+    ]
+
+
+def merge_commit_group(
+    group: list, lake_dir: str, batch_id: str, priors: dict[int, str]
+) -> list[dict]:
+    """One bin of :func:`exchange_ingest`: for each ``(pid, slices)`` in
+    ascending pid, concat the partition's events, LWW-merge them with its
+    prior lake version ``priors.get(pid)`` and commit it. A partition's
+    commit depends only on its own rows and ``(pid, batch_id)``, so a bin
+    that dies mid-way and is re-run rewrites nothing it had committed: the
+    marker turns those partitions into ``status="duplicate"`` records."""
+    out = []
     # zero-copy: plasma blocks are mmapped, slices are views; the only copy
     # is the sort inside the LWW merge
-    parts = _fetch_slices(chunk_slices)
-    events = concat_evolving(parts)
-    state = pq.read_table(prior) if prior is not None else None
-    new_state = merge_state_and_events(state, events)
-    lsns = events.column("lsn")
-    rec = commit_partition(
-        new_state,
-        lake_dir=lake_dir,
-        partition_id=pid,
-        batch_id=batch_id,
-        lsn_lo=pc.min(lsns).as_py(),
-        lsn_hi=pc.max(lsns).as_py(),
-        event_count=events.num_rows,
-        wall_start=t0,
-    )
-    return rec.__dict__
+    for pid, parts in _fetch_group(group):
+        t0 = time.monotonic()
+        events = concat_evolving(parts)
+        prior = priors.get(pid)
+        state = pq.read_table(prior) if prior is not None else None
+        new_state = merge_state_and_events(state, events)
+        lsns = events.column("lsn")
+        rec = commit_partition(
+            new_state,
+            lake_dir=lake_dir,
+            partition_id=pid,
+            batch_id=batch_id,
+            lsn_lo=pc.min(lsns).as_py(),
+            lsn_hi=pc.max(lsns).as_py(),
+            event_count=events.num_rows,
+            wall_start=t0,
+        )
+        out.append(rec.__dict__)
+    return out
 
 
 @ray.remote(num_cpus=1)
-def _merge_only_task(chunk_slices: list) -> pa.Table:
-    """Sinkless variant of the merge task: LWW state table for one
-    partition, returned to the object store (consumed via
-    ``ray.data.from_arrow_refs``)."""
-    merged = lww_merge(concat_evolving(_fetch_slices(chunk_slices)))
-    return merged.drop_columns(
-        [c for c in ("op", "partition_id") if c in merged.column_names]
-    )
+def _merge_commit_task(
+    group: list, lake_dir: str, batch_id: str, priors: dict[int, str]
+) -> list[dict]:
+    return merge_commit_group(group, lake_dir, batch_id, priors)
 
 
 @ray.remote(num_cpus=1)
-def _apply_task(chunk_slices: list, fn) -> pa.Table:
-    """Generic shard-apply: concat one partition's slices (zero-copy views
-    single-node) and run ``fn`` on the assembled Arrow table."""
-    return fn(concat_evolving(_fetch_slices(chunk_slices)))
+def _apply_task(group: list, fn):
+    """Generic shard-apply over one bin: ``fn`` on each partition's
+    assembled Arrow table, ascending pid, one return value per partition
+    (the caller sets ``num_returns``)."""
+    out = [fn(concat_evolving(parts)) for _pid, parts in _fetch_group(group)]
+    return out if len(out) > 1 else out[0]
 
 
 def _resolve_transport(transport: str) -> str:
@@ -336,36 +341,72 @@ def _merge_opts(pid: int, affinity: dict[int, str]) -> dict:
     }
 
 
+def _cpu_count() -> int:
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def _pack(pid_slices: dict[int, list], n_bins: int) -> list[list]:
+    """Pack partitions into ``min(len(pid_slices), n_bins)`` bins, largest
+    first by routed rows, each into the bin with the fewest rows so far.
+    Returns ``[[(pid, slices), ...], ...]``, each bin in ascending pid."""
+    rows = {pid: sum(n for _r, _s, n in s) for pid, s in pid_slices.items()}
+    bins: list[list[int]] = [[] for _ in range(min(len(rows), n_bins))]
+    load = [0] * len(bins)
+    for pid in sorted(rows, key=lambda p: (-rows[p], p)):
+        i = load.index(min(load))
+        bins[i].append(pid)
+        load[i] += rows[pid]
+    return [[(pid, pid_slices[pid]) for pid in sorted(b)] for b in bins]
+
+
 def _routed(
     partitioned, transport: str, probe=None, on_routed=None
-) -> list[tuple[int, list, dict]]:
-    """Route ``partitioned`` (see :func:`_route`) and return one
-    ``(pid, slices, task_options)`` entry per partition, ascending pid.
-    ``on_routed(pid_slices, probed)`` sees the routing table and the
-    per-block ``probe`` results before any task consumes the table, and
-    may rewrite it in place (:func:`reroute`)."""
+) -> list[tuple[list, dict]]:
+    """Route ``partitioned`` (see :func:`_route`) and group its partitions
+    into one task's work per CPU: ``[(bin, task_options)]``, where ``bin``
+    is ``[(pid, slices)]`` in ascending pid. Each affinity group (the
+    cluster on the ranges transport, one node on the slices transport) gets
+    ``min(partitions, CPUs)`` bins (:func:`_pack`), the CPUs being
+    ``ray.cluster_resources()`` split evenly over the groups. A task per
+    bin instead of per partition pays one dispatch and one fetch of each
+    block for many partitions. ``on_routed(pid_slices, probed)`` sees the
+    routing table and the per-block ``probe`` results before any task
+    consumes the table, and may rewrite it in place (:func:`reroute`)."""
     routed = _route(partitioned, _resolve_transport(transport), probe)
     pid_slices, affinity = routed[:2]
     if probe is not None:
         on_routed(pid_slices, routed[2])
+    by_node: dict = {}
+    for pid, slices in sorted(pid_slices.items()):
+        by_node.setdefault(affinity.get(pid), {})[pid] = slices
+    slots = max(1, _cpu_count() // max(1, len(by_node)))
     return [
-        (pid, slices, _merge_opts(pid, affinity))
-        for pid, slices in sorted(pid_slices.items())
+        (group, _merge_opts(group[0][0], affinity))
+        for node_slices in by_node.values()
+        for group in _pack(node_slices, slots)
     ]
 
 
-@ray.remote(num_cpus=1, num_returns=2)
-def _reroute_task(chunk_slices: list, fn):
-    out, info = fn(concat_evolving(_fetch_slices(chunk_slices)))
-    if out is None:
-        return None, (info, None)
-    out = cluster_by_pid(out)
-    return out, (info, _pid_runs(out))
+@ray.remote(num_cpus=1)
+def _reroute_task(group: list, fns: dict):
+    """One bin of :func:`reroute`: ``fns[pid]`` on each partition's rows,
+    ascending pid. Returns each partition's pid-clustered retagged rows
+    (or None) as its own object, then one ``[(info, runs)]`` list (the
+    caller sets ``num_returns``)."""
+    outs, metas = [], []
+    for pid, parts in _fetch_group(group):
+        out, info = fns[pid](concat_evolving(parts))
+        if out is not None:
+            out = cluster_by_pid(out)
+        outs.append(out)
+        metas.append((info, None if out is None else _pid_runs(out)))
+    return (*outs, metas)
 
 
 def reroute(pid_slices: dict[int, list], fns: dict) -> dict:
     """Re-tag the rows of some routed partitions and swap the result into
-    the routing table ``pid_slices`` in place, one task per partition.
+    the routing table ``pid_slices`` in place, one task per bin of
+    partitions (:func:`_pack`, as for the exchange's merges).
 
     ``fns[pid](rows)`` receives partition ``pid``'s rows and returns
     ``(retagged, info)``: ``retagged`` is the rows with a new
@@ -373,20 +414,30 @@ def reroute(pid_slices: dict[int, list], fns: dict) -> dict:
     retagged partition becomes one pid-clustered object whose runs replace
     that partition's slices; the other partitions' slices are untouched.
     Returns ``{pid: info}``."""
-    pids = sorted(fns)
-    tasks = [_reroute_task.remote(pid_slices[pid], fns[pid]) for pid in pids]
-    metas = ray.get([meta for _obj, meta in tasks])
+    groups = _pack({pid: pid_slices[pid] for pid in fns}, _cpu_count())
+    tasks = [
+        _reroute_task.options(num_returns=len(group) + 1).remote(
+            group, {pid: fns[pid] for pid, _s in group}
+        )
+        for group in groups
+    ]
+    metas = ray.get([refs[-1] for refs in tasks])
+    done = sorted(
+        (pid, obj, meta)
+        for group, refs, group_metas in zip(groups, tasks, metas)
+        for (pid, _s), obj, meta in zip(group, refs, group_metas)
+    )
     # drop every retagged partition's slices before adding any new run: a
     # run may land in another partition that is itself being retagged
     moved = []
-    for pid, (obj, _m), (_info, runs) in zip(pids, tasks, metas):
+    for pid, obj, (_info, runs) in done:
         if runs is not None:
             del pid_slices[pid]
             moved.append((obj, runs))
     for obj, runs in moved:
         for pid, start, length in runs:
             pid_slices.setdefault(pid, []).append((obj, start, length))
-    return {pid: info for pid, (info, _runs) in zip(pids, metas)}
+    return {pid: info for pid, _obj, (info, _runs) in done}
 
 
 def _as_dataset(refs: list) -> "ray.data.Dataset":
@@ -400,28 +451,29 @@ def _as_dataset(refs: list) -> "ray.data.Dataset":
 def exchange_apply(partitioned, fn, *, transport: str = "auto") -> "ray.data.Dataset":
     """Generic grouped-shard primitive over the exchange's data plane:
     route blocks by their ``partition_id`` column, then run
-    ``fn(shard_table) -> pa.Table`` once per partition. Every row of a
-    partition lands in exactly one ``fn`` call; output blocks come back in
-    ascending pid order."""
-    return _as_dataset(
-        [
-            _apply_task.options(**opts).remote(slices, fn)
-            for _pid, slices, opts in _routed(partitioned, transport)
-        ]
+    ``fn(shard_table) -> pa.Table`` once per partition, in one task per
+    bin (:func:`_routed`). Every row of a partition lands in exactly one
+    ``fn`` call; output blocks come back in ascending pid order."""
+    refs = {}
+    for group, opts in _routed(partitioned, transport):
+        out = _apply_task.options(num_returns=len(group), **opts).remote(group, fn)
+        refs.update(zip([pid for pid, _s in group], out if len(group) > 1 else [out]))
+    return _as_dataset([refs[pid] for pid in sorted(refs)])
+
+
+def _lww_state(events: pa.Table) -> pa.Table:
+    merged = lww_merge(events)
+    return merged.drop_columns(
+        [c for c in ("op", "partition_id") if c in merged.column_names]
     )
 
 
 def exchange_upsert(partitioned, *, transport: str = "auto") -> "ray.data.Dataset":
-    """Sinkless block-exchange upsert: same routing as
-    :func:`exchange_ingest`, but each partition's LWW state returns as an
-    Arrow block and the result is a Dataset (``from_arrow_refs`` — blocks
-    never touch the driver)."""
-    return _as_dataset(
-        [
-            _merge_only_task.options(**opts).remote(slices)
-            for _pid, slices, opts in _routed(partitioned, transport)
-        ]
-    )
+    """Sinkless block-exchange upsert: :func:`exchange_apply` of the LWW
+    merge, so each partition's state returns as an Arrow block and the
+    result is a Dataset (``from_arrow_refs`` — blocks never touch the
+    driver)."""
+    return exchange_apply(partitioned, _lww_state, transport=transport)
 
 
 def exchange_ingest(
@@ -435,18 +487,23 @@ def exchange_ingest(
     on_routed=None,
 ) -> list[dict]:
     """Run the block exchange: stream block refs, route each block's pid
-    runs, then merge+commit every partition in parallel. Returns manifest
-    records. ``transport`` picks the data plane (see :func:`_route`);
-    ``"auto"`` = ranges on one node, per-node slice objects on a
-    multi-node cluster. ``probe``/``on_routed`` (both or neither) hook the
-    driver in between routing and the first merge (see :func:`_routed`)."""
+    runs, then merge+commit the partitions in parallel, one
+    :func:`merge_commit_group` task per bin (:func:`_routed`). Returns
+    manifest records in ascending pid. ``transport`` picks the data plane
+    (see :func:`_route`); ``"auto"`` = ranges on one node, per-node slice
+    objects on a multi-node cluster. ``probe``/``on_routed`` (both or
+    neither) hook the driver in between routing and the first merge."""
     refs = [
         _merge_commit_task.options(**opts).remote(
-            slices, lake_dir, pid, batch_id, active_files.get(pid)
+            group,
+            lake_dir,
+            batch_id,
+            {pid: active_files[pid] for pid, _s in group if pid in active_files},
         )
-        for pid, slices, opts in _routed(partitioned, transport, probe, on_routed)
+        for group, opts in _routed(partitioned, transport, probe, on_routed)
     ]
-    return ray.get(refs)
+    recs = [rec for group_recs in ray.get(refs) for rec in group_recs]
+    return sorted(recs, key=lambda r: r["partition_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +563,8 @@ def sharded_groups(
 ) -> "ray.data.Dataset":
     """Group-parallel processing WITHOUT per-group task overhead: rows are
     hash-sharded on their group key (``key_source(batch) -> np.uint64``;
-    all rows of one group land in one shard), one task runs per SHARD over
-    :func:`exchange_apply`, and ``shard_fn`` does the fine-grained
+    all rows of one group land in one shard), ``shard_fn`` runs once per
+    SHARD over :func:`exchange_apply` and does the fine-grained
     per-group work with vectorized pandas inside. With tens of thousands of
     tiny groups (LSH buckets, fingerprints) a per-group call would dominate
     by 10×+; this pattern pushes the loop into C.

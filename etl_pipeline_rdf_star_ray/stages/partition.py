@@ -82,8 +82,12 @@ def make_partition_stage(
     ``hot_convs`` are small driver-side lookups captured by value (Ray ships
     them once per task, and they are tiny: P ints / a few strings).
 
-    Clustering here, inside the fused read→partition task, means each event
-    is materialized into the object store exactly ONCE before its merge. On
+    Clustering here, inside the ``map_batches`` task that builds the batch,
+    means each event is materialized into the object store exactly ONCE
+    before its merge. (Ray Data does not fuse this stage into the read: its
+    fusion rule refuses an upstream ``ReadParquet->SplitBlocks(k)`` with
+    k > 1, so an 8-file log read runs 8 read tasks and 16 separate
+    ``MapBatches(stage)`` tasks.) On
     virtualized hosts that materialize guest memory lazily (measured: 30-1000
     MB/s fault-in vs 7 GB/s warm on the round-2 bench VM) that write volume
     IS the bottleneck — see BASELINE.md "memory materialization" notes."""

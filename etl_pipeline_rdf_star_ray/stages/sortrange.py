@@ -14,7 +14,7 @@ the exchange family lacked: a GLOBAL ordering, the classic way —
    (``np.searchsorted`` against the broadcast splits — vectorized, typed:
    int64 keys never round-trip through float64) and pid-clusters the batch
    (the exchange's block-layout rule);
-4. the exchange colocates each range; ONE task per shard does a vectorized
+4. the exchange colocates each range; ONE call per shard does a vectorized
    Arrow ``sort_by`` over all ``keys``.
 
 ``exchange_apply`` emits output blocks in ascending pid order and every

@@ -197,6 +197,74 @@ def test_replay_idempotent(tmp_path):
     assert_frames_equal(before, state_table(lake).to_pandas())
 
 
+def test_merge_bin_crash_after_first_commit_stays_exactly_once(
+    tmp_path, monkeypatch
+):
+    """A merge task commits its bin's partitions one after another. If it
+    dies after the first one committed, Ray re-runs the whole bin: the
+    committed partition must come back as a duplicate, not a second
+    version, and re-running the ingest must converge on the oracle state
+    with exactly one commit record per partition."""
+    import ray
+
+    from etl_pipeline_rdf_star_ray.stages import exchange
+
+    lake = str(tmp_path / "lake")
+    bins = []
+
+    class InProcess:
+        """Stands in for the remote: runs the bin body in this process."""
+
+        def options(self, **_opts):
+            return self
+
+        def remote(self, *args):
+            bins.append(args)
+            return ray.put(exchange.merge_commit_group(*args))
+
+    real_commit = exchange.commit_partition
+    commits = []
+
+    def crash_on_second(*args, **kwargs):
+        commits.append(kwargs["partition_id"])
+        if len(commits) == 2:
+            raise RuntimeError("injected crash")
+        return real_commit(*args, **kwargs)
+
+    monkeypatch.setattr(exchange, "_merge_commit_task", InProcess())
+    monkeypatch.setattr(exchange, "commit_partition", crash_on_second)
+    kw = dict(num_partitions=8, hot_convs=[], batch_id="b0")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        cdc.ingest(_mk_log(0, N_EVENTS), lake, **kw)
+    group, _lake, batch_id, priors = bins[0]
+    assert len(group) > 1 and commits == [group[0][0], group[1][0]]
+    assert [r.partition_id for r in mf.load_records(lake)] == [group[0][0]]
+
+    # Ray's retry of the dead task: the same bin, whole
+    monkeypatch.setattr(exchange, "commit_partition", real_commit)
+    recs = exchange.merge_commit_group(group, lake, batch_id, priors)
+    assert [r["status"] for r in recs] == ["duplicate"] + ["active"] * (
+        len(group) - 1
+    )
+
+    monkeypatch.undo()
+    cdc.ingest(_mk_log(0, N_EVENTS), lake, **kw)
+    got = state_table(lake).to_pandas()
+    touched = set(got["partition_id"])
+    per_pid = {}
+    for r in mf.load_records(lake):
+        assert r.batch_id == "b0"
+        per_pid[r.partition_id] = per_pid.get(r.partition_id, 0) + 1
+    assert len(touched) > len(group)
+    assert per_pid == {pid: 1 for pid in touched}
+    for pid in touched:
+        files = glob.glob(os.path.join(lake, f"part={pid:05d}", "*.parquet"))
+        assert len(files) == 1
+    assert_frames_equal(
+        got.drop(columns=["partition_id"]), oracle_replay(changelog_table(N_EVENTS))
+    )
+
+
 def test_commit_marker_makes_sink_idempotent(tmp_path):
     from etl_pipeline_rdf_star_ray.state.sink import commit_partition
 

@@ -97,11 +97,32 @@ def test_no_private_state_names_outside_state():
 
 
 def test_perfbench_tracer_names_exist(monkeypatch):
-    """The benchmark's tracer wraps engine functions by name; renaming or
-    removing one of them must fail here, not in a benchmark run."""
+    """The benchmark's tracer wraps engine functions by name, matches merge
+    task spans by the remote's name and reads ``exchange_ingest``'s
+    keywords; renaming or removing one of them must fail here, not turn
+    the ``exchange.merge_*`` metrics silently to zero in a benchmark run."""
+    import inspect
+
+    import ray
+
+    from etl_pipeline_rdf_star_ray.stages import exchange
+
     monkeypatch.syspath_prepend(str(ROOT.parent / "perfbench"))
     from tracing import Tracer
 
     tracer = Tracer()
     tracer.install()
     tracer.uninstall()
+
+    source = (ROOT.parent / "perfbench" / "tracing.py").read_text()
+    # merge task spans are ``task::<remote name>`` in ray.timeline()
+    assert 'endswith("_merge_commit_task")' in source
+    task = exchange._merge_commit_task
+    assert isinstance(task, ray.remote_function.RemoteFunction)
+    assert task._function.__name__ == "_merge_commit_task"
+    # the wrapped _route must be the one the exchange's entry points call
+    assert "_route" in exchange._routed.__code__.co_names
+    params = inspect.signature(exchange.exchange_ingest).parameters
+    for kw in ("active_files", "batch_id"):
+        assert f'kwargs["{kw}"]' in source
+        assert params[kw].kind is inspect.Parameter.KEYWORD_ONLY, kw

@@ -2,6 +2,8 @@
 schema evolution across multiple late columns, and the block exchange's
 arrival-order independence and colocation."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -224,6 +226,7 @@ def test_exchange_apply_colocates_groups(ray_session):
 
     from etl_pipeline_rdf_star_ray.stages.exchange import (
         _route,
+        _routed,
         cluster_by_pid,
         exchange_apply,
     )
@@ -262,14 +265,94 @@ def test_exchange_apply_colocates_groups(ray_session):
             }
         )
 
-    out = pa.concat_tables(
-        [b for b in ray.get(
-            exchange_apply(ds, summarize).to_arrow_refs()
-        ) if b.num_rows]
-    )
+    # fewer CPUs than partitions: the exchange groups partitions per task
+    assert len(_routed(ds, "ranges")) < shards
+    blocks = ray.get(exchange_apply(ds, summarize).to_arrow_refs())
+    # one fn call (one output block) per partition, in ascending pid —
+    # stages/sortrange.py relies on that order
+    assert [set(b.column("pid").to_pylist()) for b in blocks] == [
+        {pid} for pid in range(shards)
+    ]
+    out = pa.concat_tables(blocks)
     # every key appears in exactly one shard's output
     assert out.num_rows == 23
     assert pc.sum(out.column("rows")).as_py() == n
     # and each key landed in its hash shard
     for r in out.to_pylist():
         assert r["pid"] == r["k"] % shards
+
+
+def test_ingest_submits_one_merge_task_per_cpu(tmp_path, monkeypatch):
+    """A 64-partition ingest submits at most one merge task per CPU, each
+    bin in ascending pid, and its lake equals, checksum for checksum, a
+    reference that merges and commits each partition on its own, in this
+    process, from the same slices."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from etl_pipeline_rdf_star_ray.pipelines import cdc
+    from etl_pipeline_rdf_star_ray.schema import concat_evolving
+    from etl_pipeline_rdf_star_ray.sources.synthetic import changelog_dataset
+    from etl_pipeline_rdf_star_ray.stages import exchange
+    from etl_pipeline_rdf_star_ray.stages.merge import merge_state_and_events
+    from etl_pipeline_rdf_star_ray.state import manifest as mf
+    from etl_pipeline_rdf_star_ray.state.sink import commit_partition
+
+    real_task = exchange._merge_commit_task
+    submitted = []
+
+    class Counting:
+        def options(self, **opts):
+            self.opts = opts
+            return self
+
+        def remote(self, *args):
+            submitted.append(args)
+            return real_task.options(**self.opts).remote(*args)
+
+    monkeypatch.setattr(exchange, "_merge_commit_task", Counting())
+    lake, ref_lake = str(tmp_path / "lake"), str(tmp_path / "ref")
+    kw = dict(num_partitions=64, hot_convs=[])
+    cdc.ingest(changelog_dataset(8_000, n_convs=400), lake, batch_id="b0", **kw)
+    cdc.ingest(
+        changelog_dataset(4_000, lsn_start=8_000, n_convs=400), lake,
+        batch_id="b1", **kw,
+    )
+    b1 = [args for args in submitted if args[2] == "b1"]
+    assert 1 < len(b1) <= ray.cluster_resources()["CPU"]
+
+    for group, _lake, batch_id, priors in submitted:
+        pids = [pid for pid, _slices in group]
+        assert pids == sorted(pids)
+        for pid, slices in group:
+            refs = list(dict.fromkeys(ref for ref, _s, _n in slices))
+            blocks = dict(zip(refs, ray.get(refs)))
+            events = concat_evolving(
+                [blocks[ref].slice(start, n) for ref, start, n in slices]
+            )
+            # priors name the lake's files; the reference reads its own
+            state = (
+                pq.read_table(
+                    os.path.join(ref_lake, os.path.relpath(priors[pid], lake))
+                )
+                if pid in priors
+                else None
+            )
+            lsns = events.column("lsn")
+            commit_partition(
+                merge_state_and_events(state, events),
+                lake_dir=ref_lake,
+                partition_id=pid,
+                batch_id=batch_id,
+                lsn_lo=pc.min(lsns).as_py(),
+                lsn_hi=pc.max(lsns).as_py(),
+                event_count=events.num_rows,
+                wall_start=0.0,
+            )
+
+    def checksums(d):
+        return {(r.partition_id, r.batch_id): r.checksum for r in mf.load_records(d)}
+
+    got = checksums(lake)
+    assert len({pid for pid, batch in got if batch == "b1"}) > 32
+    assert got == checksums(ref_lake)

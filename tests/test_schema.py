@@ -44,3 +44,43 @@ def test_concat_evolving():
 def test_concat_evolving_empty_raises():
     with pytest.raises(ValueError):
         sch.concat_evolving([])
+
+
+def _slices(t: pa.Table, n: int) -> list[pa.Table]:
+    step = t.num_rows // n
+    return [t.slice(i * step, step) for i in range(n)]
+
+
+def test_concat_evolving_same_schema_matches_unify_conform(monkeypatch):
+    """Same-schema slices skip unify/conform, and the result equals the
+    unify+conform result column for column."""
+    from etl_pipeline_rdf_star_ray.sources.synthetic import changelog_table
+
+    parts = _slices(changelog_table(600), 6)
+    target = sch.unify(*[p.schema for p in parts])
+    expect = pa.concat_tables([sch.conform(p, target) for p in parts])
+
+    def no_unify(*_schemas):
+        raise AssertionError("unify called on same-schema tables")
+
+    monkeypatch.setattr(sch, "unify", no_unify)
+    got = sch.concat_evolving(parts)
+    assert got.schema.equals(expect.schema, check_metadata=True)
+    for name in expect.column_names:
+        assert got.column(name).equals(expect.column(name)), name
+
+
+def test_concat_evolving_mixed_tool_args_widens_with_typed_nulls():
+    from etl_pipeline_rdf_star_ray.sources.synthetic import changelog_table
+
+    plain = _slices(changelog_table(200), 2)
+    evolved = _slices(changelog_table(200, lsn_start=200, with_tool_args=True), 2)
+    assert "tool_args" not in plain[0].column_names
+    got = sch.concat_evolving([plain[0], *evolved, plain[1]])
+    tool_args = got.column("tool_args")
+    assert tool_args.type == evolved[0].schema.field("tool_args").type
+    assert tool_args.slice(0, 100).null_count == 100
+    assert tool_args.slice(300, 100).null_count == 100
+    assert tool_args.slice(100, 200).equals(
+        pa.chunked_array([e.column("tool_args").combine_chunks() for e in evolved])
+    )
