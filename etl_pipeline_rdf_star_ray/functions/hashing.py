@@ -1,15 +1,19 @@
 """Deterministic, process-stable vectorized hashing.
 
 Used for: hash partitioning on ``conv_id`` (the CDC shuffle key), content
-fingerprints for exact dedup and diff, and the salted sub-partitioning of hot
-conversations. Everything here must be stable across processes and Python
-versions (no builtin ``hash`` — PYTHONHASHSEED), and vectorized (no per-row
-Python in hot stages).
+fingerprints for exact dedup and diff, the salted sub-partitioning of hot
+conversations, and the shard plane's routing rule (:func:`shard_ids`).
+Everything here must be stable across processes and Python versions (no
+builtin ``hash`` — PYTHONHASHSEED), and vectorized (no per-row Python in
+hot stages).
 
-Strategy for string columns: dictionary-encode the Arrow column first, hash
-only the (few) unique values with blake2b, then scatter through the index
-codes — per-batch cost is O(uniques) Python + O(rows) numpy, which is ideal
-for conversation ids where uniques << rows.
+Two string hashes: :func:`xxh64_column` (polars' xxhash, C-speed at any
+cardinality; what :func:`key_hash_column` and therefore every shard, join
+and export route use) and :func:`hash64_column` (blake2b over the
+dictionary-encoded uniques; portable forever, cheap when uniques << rows).
+The CDC lake pins its choice per table in ``TableMeta.key_hash``.
+Integers and temporals never go through a string: they mix through
+:func:`splitmix64`.
 """
 
 from __future__ import annotations
@@ -129,32 +133,23 @@ def combine64(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
     return splitmix64(a ^ (b * _U64(0xC2B2AE3D27D4EB4F)))
 
 
-def shard_column(
-    arr: pa.ChunkedArray | pa.Array, num_shards: int
-) -> pa.Array:
-    """int32 ``partition_id`` column for the block exchange: typed key hash
-    mod shard count. The one shared implementation for every sharded
-    operator (equi-join, as-of join, sharded groups use their own composite
-    variants) — shard assignment must be bit-identical across call sites
-    or colocation silently breaks."""
-    h = key_hash_column(arr)
-    return pa.array((h % np.uint64(num_shards)).astype(np.int32), pa.int32())
-
-
 def key_hash_column(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """uint64 hash of a join/shard key column, dispatched on type:
-    integers mix directly through splitmix64 (no string round-trip —
-    casting int64 keys to strings before hashing cost ~2 s per million
-    keys in the sharded-join profile), temporal types hash their int64
-    storage view, everything else goes through the dictionary-encoded
-    string hash. Null keys hash to 0 (they never match anyway — SQL
-    semantics enforced by the consumers)."""
+    """uint64 hash of one key column, dispatched on type: integers mix
+    directly through splitmix64 (no string round-trip — casting int64 keys
+    to strings before hashing cost ~2 s per million keys in the
+    sharded-join profile; uint64 reinterprets its bits, so keys >= 2^63
+    hash too), temporal types hash their int64 storage view, everything
+    else is cast to plain ``string`` and hashed with :func:`xxh64_column`
+    (the cast makes ``large_string`` and dictionary-encoded columns hash
+    like ``string``). NULL hashes to 0 in every branch."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     t = arr.type
     if pa.types.is_integer(t) or pa.types.is_temporal(t):
         storage = arr
-        if not pa.types.is_integer(t):
+        if t == pa.uint64():
+            storage = storage.view(pa.int64())
+        elif not pa.types.is_integer(t):
             # 32-bit temporal storage (date32/time32) has no direct ->int64
             # cast in Arrow: hop through its bit-width integer first
             if t.bit_width == 32:
@@ -165,13 +160,28 @@ def key_hash_column(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
         # fill_null BEFORE to_numpy: a null-bearing int64 column would
         # otherwise round-trip through float64 and corrupt keys >= 2^53
         # (batch-dependent hashes break the exchange colocation contract)
-        vals = storage.fill_null(0).to_numpy(zero_copy_only=False).astype(_U64)
-        out = splitmix64(vals)
-        if arr.null_count:
-            out = np.asarray(out)
-            out[np.asarray(arr.is_null())] = 0
-        return out
-    return hash64_column(arr.cast(pa.string()))
+        vals = storage.fill_null(0).to_numpy(zero_copy_only=False).view(_U64)
+        out = np.asarray(splitmix64(vals))
+    else:
+        arr = arr.cast(pa.string())
+        out = xxh64_column(arr)
+    if arr.null_count:
+        out[np.asarray(arr.is_null())] = 0
+    return out
+
+
+def shard_ids(batch: pa.Table, keys: list[str], num_shards: int) -> pa.Array:
+    """int32 ``partition_id`` column for the block exchange: the shard of
+    each row's key — :func:`key_hash_column` per key column, folded left
+    to right with :func:`combine64`, mod ``num_shards``. The one routing
+    rule of every sharded operator (sharded groups, equi-join, as-of and
+    range joins, export): rows with equal keys must land in one shard
+    whichever block they arrive in, so there is no second rule to drift
+    from."""
+    h = key_hash_column(batch.column(keys[0]))
+    for c in keys[1:]:
+        h = combine64(h, key_hash_column(batch.column(c)))
+    return pa.array((h % _U64(num_shards)).astype(np.int32), pa.int32())
 
 
 def md5_hex_column(

@@ -135,7 +135,4 @@ def hll_distinct_grouped(
             {"approx_distinct": np.int64}
         )
 
-    def key(batch: pa.Table) -> np.ndarray:
-        return hash64_column(batch.column(key_col).cast(pa.string()))
-
-    return sharded_groups(partials, key, per_shard, num_shards=num_shards)
+    return sharded_groups(partials, [key_col], per_shard, num_shards=num_shards)

@@ -28,28 +28,6 @@ def _cents(col) -> pa.Array:
     return pc.cast(pc.round(pc.multiply(col, 100.0)), pa.int64())
 
 
-def _group_key_hash(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
-    """uint64 hash of a (possibly composite) group key — the shard key for
-    the exchange-backed final combine (``exchange.sharded_groups``). Ray's
-    sort-based ``groupby().aggregate()`` pays ~3 s of fixed shuffle cost at
-    any size on this node (round-3 profile); the partial rows these
-    finishes move are tiny, so the combine now rides the same block
-    exchange as every other sharded group.
-
-    Per-column hashing delegates to ``key_hash_column`` — the ONE
-    implementation with the null-safe integer path (fill_null before
-    to_numpy; a null-bearing int64 column would otherwise round-trip
-    through float64 and hash keys >= 2^53 batch-dependently, splitting one
-    group across shards)."""
-    from ..functions.hashing import combine64, key_hash_column
-
-    h = None
-    for c in key_cols:
-        hc = key_hash_column(batch.column(c))
-        h = hc if h is None else combine64(h, hc)
-    return h
-
-
 def _sum_partials(
     partials, key_cols: list[str], sum_cols: list[str], *, num_shards: int = 64
 ):
@@ -69,7 +47,7 @@ def _sum_partials(
 
     return sharded_groups(
         partials,
-        lambda b: _group_key_hash(b, key_cols),
+        key_cols,
         combine,
         num_shards=num_shards,
     )
@@ -139,7 +117,7 @@ def _pricing_finest(sf_dir: str, cutoff: str) -> pd.DataFrame:
     return (
         sharded_groups(
             partials,
-            lambda b: _group_key_hash(b, ["l_returnflag", "l_linestatus"]),
+            ["l_returnflag", "l_linestatus"],
             combine,
         )
         .to_pandas()
@@ -284,7 +262,7 @@ def top_customers_by_revenue(sf_dir: str, *, k: int = 10) -> pa.Table:
 
     survivors = sharded_groups(
         orders.map_batches(partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["o_custkey"]),
+        ["o_custkey"],
         shard_topk,
     ).to_pandas()
 
@@ -345,7 +323,7 @@ def event_type_counts(sf_dir: str) -> "rd.Dataset":
         read_parquet_clean(
             f"{sf_dir}/events.parquet", columns=["event_type"]
         ).map_batches(partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["event_type"]),
+        ["event_type"],
         lambda s: s.groupby("event_type", sort=False)
         .agg(n=("n", "sum"))
         .reset_index(),
@@ -370,10 +348,13 @@ def _sessionize(g: "pd.DataFrame", gap: "np.timedelta64") -> "pd.DataFrame":
     :func:`user_sessions` and :func:`session_intervals` derive from this so
     boundary semantics can never diverge."""
     g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-    same_user = g["user_id"].eq(g["user_id"].shift())
-    new_s = ((~same_user) | (g["ts"].diff() > gap)).astype(np.int64)
-    g = g.assign(new_s=new_s)
-    g["session_idx"] = g.groupby("user_id", sort=False)["new_s"].cumsum()
+    # NULL-safe user change: a NULL user_id is one user (SQL PARTITION BY),
+    # and ``eq`` on nullable ints would yield NA for it
+    user = g.groupby("user_id", sort=False, dropna=False).ngroup().to_numpy()
+    same_user = np.r_[False, user[1:] == user[:-1]]
+    new_s = ~same_user | (g["ts"].diff() > gap).to_numpy()
+    g = g.assign(new_s=new_s.astype(np.int64))
+    g["session_idx"] = g.groupby(user, sort=False)["new_s"].cumsum()
     return g
 
 
@@ -381,10 +362,6 @@ def _events_by_user(sf_dir: str) -> "rd.Dataset":
     return read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id"]
     )
-
-
-def _user_shard_key(batch: pa.Table) -> np.ndarray:
-    return batch.column("user_id").to_numpy().astype(np.uint64)
 
 
 def user_sessions(sf_dir: str, *, gap_minutes: int = 30, num_shards: int = 64) -> "rd.Dataset":
@@ -400,7 +377,7 @@ def user_sessions(sf_dir: str, *, gap_minutes: int = 30, num_shards: int = 64) -
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = _sessionize(g, gap)
         out = (
-            g.groupby("user_id", sort=False)
+            g.groupby("user_id", sort=False, dropna=False)
             .agg(n_events=("new_s", "size"), n_sessions=("new_s", "sum"))
             .reset_index()
         )
@@ -409,7 +386,7 @@ def user_sessions(sf_dir: str, *, gap_minutes: int = 30, num_shards: int = 64) -
         return out
 
     return sharded_groups(
-        _events_by_user(sf_dir), _user_shard_key, per_shard, num_shards=num_shards
+        _events_by_user(sf_dir), ["user_id"], per_shard, num_shards=num_shards
     )
 
 
@@ -427,7 +404,7 @@ def session_intervals(
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = _sessionize(g, gap)
         out = (
-            g.groupby(["user_id", "session_idx"], sort=False)
+            g.groupby(["user_id", "session_idx"], sort=False, dropna=False)
             .agg(s_start=("ts", "min"), s_end=("ts", "max"))
             .reset_index()
         )
@@ -435,7 +412,7 @@ def session_intervals(
         return out
 
     return sharded_groups(
-        _events_by_user(sf_dir), _user_shard_key, per_shard, num_shards=num_shards
+        _events_by_user(sf_dir), ["user_id"], per_shard, num_shards=num_shards
     )
 
 
@@ -513,7 +490,7 @@ def conv_stats(state: "rd.Dataset") -> "rd.Dataset":
 
     per_role = sharded_groups(
         state.map_batches(per_role_partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["conv_id", "role"]),
+        ["conv_id", "role"],
         lambda s: s.groupby(["conv_id", "role"], sort=False)
         .agg(n=("n", "sum"), chars=("chars", "sum"), last_ts=("last_ts", "max"))
         .reset_index(),
@@ -545,7 +522,7 @@ def conv_stats(state: "rd.Dataset") -> "rd.Dataset":
 
     return sharded_groups(
         per_role.map_batches(per_conv_partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["conv_id"]),
+        ["conv_id"],
         lambda s: s.groupby("conv_id", sort=False)
         .agg(
             n_turns=("n_turns", "sum"),
@@ -567,7 +544,6 @@ def turn_gaps(state: "rd.Dataset", *, num_shards: int = 64) -> "rd.Dataset":
     shard); one call per shard computes every conversation's lag in a single
     vectorized pandas pass — same de-grouped shape as
     :func:`user_sessions`. Output: ``(conv_id, turn_idx, gap_us)``."""
-    from ..functions.hashing import xxh64_column
 
     from ..stages.exchange import sharded_groups
 
@@ -596,7 +572,7 @@ def turn_gaps(state: "rd.Dataset", *, num_shards: int = 64) -> "rd.Dataset":
     pruned = state.select_columns(["conv_id", "turn_idx", "ts"])
     return sharded_groups(
         pruned,
-        lambda b: xxh64_column(b.column("conv_id")),
+        ["conv_id"],
         per_shard,
         num_shards=num_shards,
     )
@@ -621,7 +597,6 @@ def tool_transitions(state: "rd.Dataset", *, num_shards: int = 64) -> "rd.Datase
 
     Output: ``(prev_tool, tool, n_calls, n_convs)``."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import xxh64_column
 
     def only_tools(batch: pa.Table) -> pa.Table:
         t = batch.select(["conv_id", "turn_idx", "tool"])
@@ -657,7 +632,7 @@ def tool_transitions(state: "rd.Dataset", *, num_shards: int = 64) -> "rd.Datase
 
     per_conv_shard = sharded_groups(
         state.map_batches(only_tools, batch_format="pyarrow"),
-        lambda b: xxh64_column(b.column("conv_id")),
+        ["conv_id"],
         per_shard,
         num_shards=num_shards,
     )
@@ -690,7 +665,6 @@ def scrub_repeated_turns(
 
     Output: ``(conv_id, turn_idx, role, text)`` — the surviving turns."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import xxh64_column
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -710,7 +684,7 @@ def scrub_repeated_turns(
     pruned = state.select_columns(["conv_id", "turn_idx", "role", "text"])
     return sharded_groups(
         pruned,
-        lambda b: xxh64_column(b.column("conv_id")),
+        ["conv_id"],
         per_shard,
         num_shards=num_shards,
     )
@@ -779,7 +753,7 @@ def events_sliding(
 
     per_user = sharded_groups(
         ds.map_batches(per_user_partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["event_type", window_col, "user_id"]),
+        ["event_type", window_col, "user_id"],
         lambda s: s.groupby(["event_type", window_col, "user_id"], sort=False)
         .agg(n=("n", "sum"), sum_value_c=("sum_value_c", "sum"))
         .reset_index(),
@@ -807,7 +781,7 @@ def events_sliding(
 
     return sharded_groups(
         per_user.map_batches(per_window_partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["event_type", window_col]),
+        ["event_type", window_col],
         lambda s: s.groupby(["event_type", window_col], sort=False)
         .agg(
             n=("n", "sum"),
@@ -841,7 +815,6 @@ def conv_role_patterns(
 
     Output: ``(pattern, n_convs)``."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import xxh64_column
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -864,7 +837,7 @@ def conv_role_patterns(
     pruned = state.select_columns(["conv_id", "turn_idx", "role"])
     partials = sharded_groups(
         pruned,
-        lambda b: xxh64_column(b.column("conv_id")),
+        ["conv_id"],
         per_shard,
         num_shards=num_shards,
     )
@@ -896,7 +869,6 @@ def _hist_group_stats(sf_dir: str, names: list[str], group_stat):
     n)`` with the value-sorted histogram arrays and emits the named int64
     stat columns."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import xxh64_column
 
     hist = _event_value_hist(sf_dir)
 
@@ -914,7 +886,7 @@ def _hist_group_stats(sf_dir: str, names: list[str], group_stat):
 
     return sharded_groups(
         hist,
-        lambda b: xxh64_column(b.column("event_type")),
+        ["event_type"],
         per_shard,
         num_shards=8,
     )
@@ -972,7 +944,7 @@ def _event_value_hist(sf_dir: str) -> "rd.Dataset":
 
     return sharded_groups(
         ds.map_batches(hist_partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["event_type", "value_c"]),
+        ["event_type", "value_c"],
         lambda s: s.groupby(["event_type", "value_c"], sort=False)
         .agg(n=("n", "sum"))
         .reset_index(),
@@ -1119,7 +1091,6 @@ def funnel_depth(
     Output: ``(user_id, depth)`` for every user with ≥1 event of any kind
     (depth 0 = never entered)."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import key_hash_column
 
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
@@ -1150,10 +1121,9 @@ def funnel_depth(
     # shard groupby sees every user) and let the masks do the filtering
     return sharded_groups(
         ds,
-        lambda b: key_hash_column(b.column("user_id")),
+        ["user_id"],
         per_shard,
         num_shards=num_shards,
-        nullable_ints=True,
     )
 
 
@@ -1182,7 +1152,6 @@ def cohort_retention(
     tiny cell-hash exchange totals them. Events before the signup week
     (negative offset) are excluded like the SQL filter."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import key_hash_column
 
     WEEK_US = np.int64(604_800_000_000)
 
@@ -1256,10 +1225,9 @@ def cohort_retention(
 
     partials = sharded_groups(
         triples,
-        lambda b: key_hash_column(b.column("user_id")),
+        ["user_id"],
         per_shard,
         num_shards=num_shards,
-        nullable_ints=True,
     )
     return _sum_partials(
         partials, ["cohort_w", "week_offset"], ["n_users"],
@@ -1293,7 +1261,7 @@ def pivot_counts(
 
     return sharded_groups(
         ds.map_batches(partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, [row_key]),
+        [row_key],
         lambda s: s.groupby(row_key, sort=False)
         .agg({v: "sum" for v in values})
         .reset_index(),
@@ -1457,7 +1425,7 @@ def table_profile(
 
     nd_partials = sharded_groups(
         ds.map_batches(distinct_partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["col", "val"]),
+        ["col", "val"],
         per_shard,
         num_shards=num_shards,
     )
@@ -1745,7 +1713,6 @@ def active_users_sliding(
 
     Output: ``(day, n_users)`` for every active day."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import key_hash_column
 
     DAY_US = np.int64(86_400_000_000)
     W = int(window_days)
@@ -1804,10 +1771,9 @@ def active_users_sliding(
 
     partials = sharded_groups(
         pairs,
-        lambda b: key_hash_column(b.column("user_id")),
+        ["user_id"],
         per_shard,
         num_shards=num_shards,
-        nullable_ints=True,
     )
 
     def combine(s: pd.DataFrame) -> pd.DataFrame:
@@ -1821,7 +1787,7 @@ def active_users_sliding(
 
     return sharded_groups(
         partials,
-        lambda b: _group_key_hash(b, ["day"]),
+        ["day"],
         combine,
         num_shards=num_shards,
     )
@@ -1845,7 +1811,6 @@ def user_diversity(sf_dir: str, *, num_shards: int = 64) -> "rd.Dataset":
     (a user lives in one shard). Output: ``(user_id, n_events, n_types,
     simpson)``."""
     from ..stages.exchange import sharded_groups
-    from ..functions.hashing import key_hash_column
 
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
@@ -1914,10 +1879,9 @@ def user_diversity(sf_dir: str, *, num_shards: int = 64) -> "rd.Dataset":
 
     return sharded_groups(
         counts,
-        lambda b: key_hash_column(b.column("user_id")),
+        ["user_id"],
         per_shard,
         num_shards=num_shards,
-        nullable_ints=True,
     )
 
 
@@ -1978,7 +1942,7 @@ def key_skew_profile(
 
     survivors = sharded_groups(
         ds.map_batches(partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, [col]),
+        [col],
         shard_topk,
         num_shards=num_shards,
     ).to_pandas()
@@ -2116,7 +2080,7 @@ def ohlc_bars(sf_dir: str, *, num_shards: int = 64) -> "rd.Dataset":
 
     return sharded_groups(
         ds.map_batches(partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash(b, ["event_type", "hour"]),
+        ["event_type", "hour"],
         per_shard,
         num_shards=num_shards,
     ).map_batches(cast_hour, batch_format="pyarrow")

@@ -109,18 +109,13 @@ def cc_label_propagation(
             .reset_index()
         )
 
-    def _node_hash(b: pa.Table) -> np.ndarray:
-        from ..functions.hashing import key_hash_column
-
-        return key_hash_column(b.column("node"))
-
     # every per-round step rides this repo's own exchange plane (round-3:
     # the previous Ray-native join + sort-groupby paid three fixed
     # multi-second shuffles PER ROUND; hash_join_sharded + sharded_groups
     # route the same edge-sized data in milliseconds)
     labels = sharded_groups(
         edges.map_batches(init_labels, batch_format="pyarrow"),
-        _node_hash,
+        ["node"],
         lambda s: min_label(s.drop(columns=["shard"])),
     ).materialize()
 
@@ -135,7 +130,7 @@ def cc_label_propagation(
         )
         new_labels = sharded_groups(
             labels.union(nbr),
-            _node_hash,
+            ["node"],
             lambda s: min_label(s.drop(columns=["shard"])),
         ).materialize()
         # convergence check: join old/new, count changed labels (edge-sized)
@@ -357,7 +352,6 @@ def top_terms(
             }
         )
 
-    from ..functions.hashing import xxh64_column
     from ..stages.exchange import sharded_groups
 
     def shard_topk(s: pd.DataFrame) -> pd.DataFrame:
@@ -371,7 +365,7 @@ def top_terms(
     # sort-based groupby+sort pays its ~3 s fixed cost twice here)
     survivors = sharded_groups(
         docs.map_batches(partial, batch_format="pyarrow"),
-        lambda b: xxh64_column(b.column("token")),
+        ["token"],
         shard_topk,
     ).to_pandas()
     survivors = survivors.sort_values(
@@ -417,8 +411,7 @@ def tfidf_topk_terms(
     the input is materialized ONCE so the count and the tokenize pass share
     a single execution of the upstream plan (spillable object-store blocks,
     same remedy the embedding near-dup path uses)."""
-    from ..functions.hashing import key_hash_column, xxh64_column
-    from ..stages.exchange import sharded_groups
+    from ..stages.exchange import pandas_block_apply, sharded_groups
 
     if n_docs is None:
         docs = docs.materialize()  # count + tokenize share one execution
@@ -447,13 +440,12 @@ def tfidf_topk_terms(
     pairs = docs.map_batches(pairs_partial, batch_format="pyarrow")
     tf = sharded_groups(
         pairs,
-        lambda b: key_hash_column(b.column(id_col)),
+        [id_col],
         lambda s: s.drop(columns=["shard"])
         .groupby([id_col, "term"], sort=False, dropna=False)["tf"]
         .sum()
         .reset_index(),
         num_shards=num_shards,
-        nullable_ints=True,  # null-bearing int64 doc ids stay exact
     ).materialize()  # consumed twice below (df build + score pass)
 
     def term_df(s: pd.DataFrame) -> pd.DataFrame:
@@ -470,10 +462,9 @@ def tfidf_topk_terms(
 
     df_tbl = sharded_groups(
         tf,
-        lambda b: xxh64_column(b.column("term")),
+        ["term"],
         term_df,
         num_shards=num_shards,
-        nullable_ints=True,
     ).to_pandas()
     terms = pa.array(df_tbl["term"].to_numpy(), pa.string())
     # df=0 (term appears only in null-doc rows) → NULL score, matching SQL's
@@ -483,13 +474,6 @@ def tfidf_topk_terms(
     nz = dfv > 0
     idf[nz] = np.log(n_docs / dfv[nz])
     ref = ray.put((terms, idf))
-
-    _INT_DTYPES = {
-        pa.int64(): pd.Int64Dtype(),
-        pa.int32(): pd.Int32Dtype(),
-        pa.int16(): pd.Int16Dtype(),
-        pa.int8(): pd.Int8Dtype(),
-    }
 
     def score_topk(batch: pa.Table) -> pa.Table:
         # score + per-doc top-k fused into ONE pass: the tf exchange already
@@ -501,18 +485,19 @@ def tfidf_topk_terms(
         idf_v = i[pos.to_numpy(zero_copy_only=False)]
         tfv = batch.column("tf").to_numpy(zero_copy_only=False)
         tfidf = np.floor((tfv * idf_v + 1e-9) * 1e6) / 1e6
-        s = batch.append_column(
-            "tfidf", pa.array(tfidf, pa.float64())
-        ).to_pandas(types_mapper=_INT_DTYPES.get)  # nullable ints stay exact
-        s = s.sort_values(
-            [id_col, "tfidf", "term"],
-            ascending=[True, False, True],
-            kind="mergesort",
+
+        def topk(s: pd.DataFrame) -> pd.DataFrame:
+            s = s.sort_values(
+                [id_col, "tfidf", "term"],
+                ascending=[True, False, True],
+                kind="mergesort",
+            )
+            rn = s.groupby(id_col, sort=False, dropna=False).cumcount()
+            return s[rn < k][[id_col, "term", "tfidf"]]
+
+        return pandas_block_apply(
+            batch.append_column("tfidf", pa.array(tfidf, pa.float64())), topk
         )
-        rn = s.groupby(id_col, sort=False, dropna=False).cumcount()
-        return pa.Table.from_pandas(
-            s[rn < k][[id_col, "term", "tfidf"]], preserve_index=False
-        ).replace_schema_metadata(None)
 
     return tf.map_batches(score_topk, batch_format="pyarrow", batch_size=None)
 
@@ -662,7 +647,6 @@ def token_frequency_stats(
     documents score 0 on both ratios like the SQL CASE."""
     import ray
 
-    from ..functions.hashing import xxh64_column
     from ..stages.exchange import sharded_groups
 
     docs = docs.materialize()
@@ -692,7 +676,7 @@ def token_frequency_stats(
 
     vocab = sharded_groups(
         docs.map_batches(partial, batch_format="pyarrow"),
-        lambda b: xxh64_column(b.column("token")),
+        ["token"],
         shard_sum,
         num_shards=num_shards,
     ).to_pandas()
@@ -764,7 +748,6 @@ def flatten_conversations(
     BY turn_idx)``. Partitioning note: a single conversation must fit a
     worker's heap — true by construction for transcripts (conversations are
     bounded; the 100 TB dimension is conversation COUNT)."""
-    from ..functions.hashing import xxh64_column
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -783,7 +766,7 @@ def flatten_conversations(
 
     return sharded_groups(
         pruned,
-        lambda b: xxh64_column(b.column("conv_id")),
+        ["conv_id"],
         per_shard,
         num_shards=num_shards,
     )
@@ -806,7 +789,6 @@ def sft_messages(
     the driver oracle compares the strings exactly."""
     import json
 
-    from ..functions.hashing import xxh64_column
     from ..stages.exchange import sharded_groups
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -831,7 +813,7 @@ def sft_messages(
 
     return sharded_groups(
         state.select_columns(["conv_id", "turn_idx", "role", "text"]),
-        lambda b: xxh64_column(b.column("conv_id")),
+        ["conv_id"],
         per_shard,
         num_shards=num_shards,
     )
@@ -1058,17 +1040,10 @@ def stratified_split(
 
     return sharded_groups(
         docs.select_columns([id_col, group_col]),
-        lambda b: _stratified_key(b, group_col),
+        [group_col],
         per_shard,
         num_shards=num_shards,
-        nullable_ints=True,
     )
-
-
-def _stratified_key(b: pa.Table, group_col: str) -> np.ndarray:
-    from ..functions.hashing import xxh64_column
-
-    return xxh64_column(b.column(group_col).cast(pa.string()))
 
 
 def split_sql_case(
@@ -1254,7 +1229,7 @@ def token_pmi(
     last-ulp convention, same as model scoring / BM25)."""
     import itertools
 
-    from .analytics import _group_key_hash, _sum_partials
+    from .analytics import _sum_partials
 
     n_docs = docs.count()
 

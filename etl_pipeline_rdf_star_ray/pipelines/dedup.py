@@ -40,8 +40,6 @@ def dedup_exact(
     shard (SQL mirror:
     ``QUALIFY row_number() OVER (PARTITION BY md5(text) ORDER BY doc_id)=1``).
     """
-    from ..functions.hashing import xxh64_column
-
     with_fp = ds.map_batches(
         lambda b: fingerprint_md5(b, text_col=text_col), batch_format="pyarrow"
     )
@@ -55,7 +53,7 @@ def dedup_exact(
 
     return sharded_groups(
         with_fp,
-        lambda b: xxh64_column(b.column("fingerprint")),
+        ["fingerprint"],
         per_shard,
         num_shards=num_shards,
     )
@@ -324,14 +322,9 @@ def dedup_minhash_lsh(
             )
         return _pairs_frame(out_a, out_b, shard[id_col].dtype)
 
-    from ..functions.hashing import combine64
-
     candidates = sharded_groups(
         bands,
-        lambda b: combine64(
-            b.column("band_hash").to_numpy().astype(np.uint64),
-            b.column("band_id").to_numpy().astype(np.uint64),
-        ),
+        ["band_hash", "band_id"],
         shard_candidates,
     )
 
@@ -582,14 +575,9 @@ def dedup_simhash(
             }
         )
 
-    from ..functions.hashing import combine64
-
     pairs = sharded_groups(
         signed.map_batches(explode, batch_format="pyarrow"),
-        lambda b: combine64(
-            b.column("band_hash").to_numpy().astype(np.uint64),
-            b.column("band_id").to_numpy().astype(np.uint64),
-        ),
+        ["band_hash", "band_id"],
         shard_pairs,
     )
 
@@ -598,10 +586,7 @@ def dedup_simhash(
 
     return sharded_groups(
         pairs,
-        lambda b: combine64(
-            b.column("id_a").to_numpy().astype(np.uint64),
-            b.column("id_b").to_numpy().astype(np.uint64),
-        ),
+        ["id_a", "id_b"],
         dedup_shard,
     )
 
@@ -664,14 +649,10 @@ def ngram_jaccard_pairs(
         ]
         return pd.concat(outs, ignore_index=True)
 
-    from ..functions.hashing import hash64_column
-
     # blocks are hash-colocated over the exchange (one call per shard, the
     # O(n²)-within-block loop runs per block inside) — no per-group task,
     # no sort shuffle (round-3)
-    return sharded_groups(
-        ds, lambda b: hash64_column(b.column(block_col)), shard_fn
-    )
+    return sharded_groups(ds, [block_col], shard_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -958,12 +939,13 @@ def dup_gram_fraction(
         )
         g = np.maximum(n - k + 1, 0)
         total = int(g.sum())
+        # marker rows carry their doc hash as fp_lo: the exchange routes on
+        # (fp_lo, fp_hi), so grams colocate their holders while markers
+        # spread by doc instead of piling into one shard
         markers = pa.table(
             {
                 id_col: ids,
-                "fp_lo": pa.array(
-                    np.zeros(batch.num_rows, np.uint64), pa.uint64()
-                ),
+                "fp_lo": pa.array(key_hash_column(ids), pa.uint64()),
                 "fp_hi": pa.array(
                     np.zeros(batch.num_rows, np.uint64), pa.uint64()
                 ),
@@ -1021,17 +1003,6 @@ def dup_gram_fraction(
         stage, batch_format="pyarrow"
     )
 
-    def shard_key(b: pa.Table) -> np.ndarray:
-        lo = b.column("fp_lo").to_numpy(zero_copy_only=False).astype(np.uint64)
-        hi = b.column("fp_hi").to_numpy(zero_copy_only=False).astype(np.uint64)
-        mark = (
-            b.column("is_marker").to_numpy(zero_copy_only=False).astype(np.int8)
-        )
-        # gram rows route by gram fingerprint (colocate holders); marker
-        # rows route by doc hash so empty docs spread instead of piling
-        # into one shard
-        return np.where(mark == 1, key_hash_column(b.column(id_col)), lo ^ hi)
-
     def gram_shard(s: pd.DataFrame) -> pd.DataFrame:
         mark = np.asarray(s["is_marker"], dtype=np.int8) == 1
         # GLOBAL per-doc distinctness: the map-side unique is per BATCH, so
@@ -1067,11 +1038,8 @@ def dup_gram_fraction(
         return pd.concat([per, mk], ignore_index=True)
 
     partials = sharded_groups(
-        tagged, shard_key, gram_shard, num_shards=num_shards,
-        nullable_ints=True,
+        tagged, ["fp_lo", "fp_hi"], gram_shard, num_shards=num_shards
     )
-
-    from ..functions.hashing import key_hash_column as _khc
 
     def combine(s: pd.DataFrame) -> pd.DataFrame:
         agg = (
@@ -1088,10 +1056,9 @@ def dup_gram_fraction(
 
     return sharded_groups(
         partials,
-        lambda b: _khc(b.column(id_col)),
+        [id_col],
         combine,
         num_shards=num_shards,
-        nullable_ints=True,
     )
 
 

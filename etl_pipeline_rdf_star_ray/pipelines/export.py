@@ -125,17 +125,21 @@ def export_jsonl(
     row to the same shard regardless of input block layout, and rows
     WITHIN a shard are written in sorted-key order — byte-deterministic
     output. JSON is ``orient=records`` with NaN-free nulls (``null``),
-    UTF-8, no ASCII escaping. Returns manifest rows
-    ``(shard, path, rows, skipped)``."""
+    UTF-8, no ASCII escaping. Each marker records the string hash's probe
+    vector (``hash_probe("xxh64")``): string keys route through it, so a
+    resume whose probe differs (or finds a marker without one) raises
+    instead of skipping a shard that now holds other rows. Returns
+    manifest rows ``(shard, path, rows, skipped)``."""
     import json as _json
     import os
 
-    from ..functions.hashing import key_hash_column
+    from ..functions.hashing import hash_probe
     from ..state.commitfs import PosixCommitFS
     from ..stages.exchange import sharded_groups
 
     fs = fs or PosixCommitFS()
     os.makedirs(root, exist_ok=True)
+    probe = hash_probe("xxh64")
 
     def write_shard(s: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
@@ -147,6 +151,12 @@ def export_jsonl(
         path = os.path.join(root, f"shard-{shard_id:05d}.jsonl")
         marker = os.path.join(root, f"_SUCCESS.{shard_id:05d}")
         if fs.exists(marker):
+            if _json.loads(fs.read(marker)).get("hash_probe") != probe:
+                raise RuntimeError(
+                    f"{marker} was written under another shard hash "
+                    "(hash_probe mismatch): resuming would mix routings; "
+                    "export to a fresh root"
+                )
             return pd.DataFrame(
                 [(shard_id, path, 0, True)],
                 columns=["shard", "path", "rows", "skipped"],
@@ -158,7 +168,10 @@ def export_jsonl(
         if payload and not payload.endswith("\n"):
             payload += "\n"
         fs.put_atomic(path, payload.encode("utf-8"))
-        fs.put_if_absent(marker, _json.dumps({"rows": len(body)}).encode())
+        fs.put_if_absent(
+            marker,
+            _json.dumps({"rows": len(body), "hash_probe": probe}).encode(),
+        )
         return pd.DataFrame(
             [(shard_id, path, len(body), False)],
             columns=["shard", "path", "rows", "skipped"],
@@ -166,7 +179,7 @@ def export_jsonl(
 
     manifest = sharded_groups(
         ds,
-        lambda b: key_hash_column(b.column(shard_key_col)),
+        [shard_key_col],
         write_shard,
         num_shards=num_shards,
     ).to_pandas()
@@ -221,7 +234,6 @@ def write_partitioned(
     import json
     import os
 
-    from ..functions.hashing import key_hash_column
     from ..state.commitfs import PosixCommitFS
     from ..stages.exchange import sharded_groups
 
@@ -264,7 +276,7 @@ def write_partitioned(
 
     manifest = sharded_groups(
         ds,
-        lambda b: key_hash_column(b.column(partition_col)),
+        [partition_col],
         write_shard,
         num_shards=num_shards,
     ).to_pandas()

@@ -22,7 +22,7 @@ import ray
 import ray.data as rd
 
 from ..sources import read_parquet_clean
-from .analytics import _cents, _group_key_hash, _sum_partials
+from .analytics import _cents, _sum_partials
 
 
 def _rev_c4(batch: pa.Table) -> pa.Array:
@@ -336,9 +336,8 @@ def q10_returned_item_revenue(
 
     survivors = sharded_groups(
         cust_rev,
-        lambda b: _group_key_hash(b, ["o_custkey"]),
+        ["o_custkey"],
         shard_topk,
-        nullable_ints=True,
     ).to_pandas()
     # a NULL revenue arrives as a float NaN; back to nullable int64
     survivors["revenue_c4"] = survivors["revenue_c4"].astype("Int64")

@@ -76,7 +76,6 @@ def training_pairs(
     One conversation-hash exchange colocates each conversation; the per-
     shard pass is ``k`` vectorized grouped shifts — never a Python loop
     over turns."""
-    from ..functions.hashing import xxh64_column
     from ..stages.exchange import sharded_groups
 
     if k <= 0:
@@ -110,7 +109,7 @@ def training_pairs(
     pruned = state.select_columns(["conv_id", "turn_idx", "role", "text"])
     return sharded_groups(
         pruned,
-        lambda b: xxh64_column(b.column("conv_id")),
+        ["conv_id"],
         per_shard,
         num_shards=num_shards,
     )
@@ -326,7 +325,6 @@ def conversation_weights(
     to one row per conversation BEFORE the conversation-hash exchange, so
     the shuffle carries at most blocks × distinct-convs tiny rows; one
     task per shard folds the partials."""
-    from ..functions.hashing import xxh64_column
     from ..stages.exchange import sharded_groups
 
     def combine(batch: pa.Table) -> pa.Table:
@@ -357,7 +355,7 @@ def conversation_weights(
 
     return sharded_groups(
         partials,
-        lambda b: xxh64_column(b.column(conv_col)),
+        [conv_col],
         per_shard,
         num_shards=num_shards,
     )

@@ -30,12 +30,6 @@ import ray.data as rd  # noqa: F401  (type refs in docstrings)
 from ..stages.exchange import pandas_block_apply, sharded_groups
 
 
-def _key_hash(batch: pa.Table, cols: list[str]) -> np.ndarray:
-    from .analytics import _group_key_hash
-
-    return _group_key_hash(batch, cols)
-
-
 def argmax_rows(
     ds: "rd.Dataset",
     *,
@@ -72,7 +66,7 @@ def argmax_rows(
         return df.drop_duplicates(subset=group_cols, keep="first")
 
     reduced = ds.map_batches(
-        lambda b: pandas_block_apply(b, best, nullable_ints=True),
+        lambda b: pandas_block_apply(b, best),
         batch_format="pyarrow",
     )
 
@@ -81,10 +75,9 @@ def argmax_rows(
 
     return sharded_groups(
         reduced,
-        lambda b: _key_hash(b, group_cols),
+        group_cols,
         per_shard,
         num_shards=num_shards,
-        nullable_ints=True,
     )
 
 
@@ -159,12 +152,7 @@ def rank_within_groups(
         s = s.assign(**{rank_col: rank.astype(np.int64)})
         return s[s[rank_col] <= k]
 
-    # nullable_ints: a null-bearing int64 column (e.g. ids) must come back
-    # int64 in EVERY shard's output block, not float64 in the shards that
-    # happen to contain the nulls (schema drift + 2^53 identity corruption)
-    return sharded_groups(
-        ds, lambda b: _key_hash(b, group_cols), per_shard, nullable_ints=True
-    )
+    return sharded_groups(ds, group_cols, per_shard)
 
 
 def offset_window(
@@ -241,9 +229,7 @@ def offset_window(
                 out[dst] = s[src].iloc[ends[gid]].reset_index(drop=True)
         return s.assign(**out)
 
-    return sharded_groups(
-        ds, lambda b: _key_hash(b, group_cols), per_shard, nullable_ints=True
-    )
+    return sharded_groups(ds, group_cols, per_shard)
 
 
 def rank_fractions(
@@ -296,9 +282,7 @@ def rank_fractions(
         pr = np.where(n > 1, (first - 1.0) / (n - 1.0), 0.0)
         return s.assign(**{pr_col: pr, cd_col: last / n})
 
-    return sharded_groups(
-        ds, lambda b: _key_hash(b, group_cols), per_shard, nullable_ints=True
-    )
+    return sharded_groups(ds, group_cols, per_shard)
 
 
 def running_totals(
@@ -346,12 +330,7 @@ def running_totals(
         )
         return s
 
-    # nullable_ints: a null-bearing int64 shard must arrive as pandas Int64,
-    # not float64 — plain to_pandas would defeat the exactness above before
-    # this function ever ran (review r4)
-    return sharded_groups(
-        ds, lambda b: _key_hash(b, key_cols), per_shard, nullable_ints=True
-    )
+    return sharded_groups(ds, key_cols, per_shard)
 
 
 def rolling_window_sum(
@@ -405,9 +384,7 @@ def rolling_window_sum(
             )
         return s
 
-    return sharded_groups(
-        ds, lambda b: _key_hash(b, key_cols), per_shard, nullable_ints=True
-    )
+    return sharded_groups(ds, key_cols, per_shard)
 
 
 def stratified_sample(

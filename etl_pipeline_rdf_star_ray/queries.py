@@ -2616,7 +2616,6 @@ def q_hll_user_counts(sf_dir: str):
     import pandas as pd
 
     from .functions.sketch import hll_distinct_grouped
-    from .pipelines.analytics import _group_key_hash
     from .stages.exchange import sharded_groups
 
     ds = read_parquet_clean(
@@ -2640,7 +2639,7 @@ def q_hll_user_counts(sf_dir: str):
 
     parts = sharded_groups(
         pairs,
-        lambda b: _group_key_hash(b, ["event_type", "user_id"]),
+        ["event_type", "user_id"],
         per_shard,
     ).to_pandas()
     exact = (
@@ -3669,7 +3668,7 @@ def q_join_composite_groupsize(sf_dir: str):
 
     counts = sharded_groups(
         docs.map_batches(partial, batch_format="pyarrow"),
-        lambda b: _group_key_hash_docs(b),
+        ["lang", "source"],
         lambda s: s.groupby(["lang", "source"], sort=False)
         .agg(n=("n", "sum"))
         .reset_index(),
@@ -3677,12 +3676,6 @@ def q_join_composite_groupsize(sf_dir: str):
     return hash_join_sharded(
         docs, counts, on=["lang", "source"], how="inner", num_shards=16
     ).select_columns(["doc_id", "lang", "source", "n"])
-
-
-def _group_key_hash_docs(b: pa.Table):
-    from .pipelines.analytics import _group_key_hash
-
-    return _group_key_hash(b, ["lang", "source"])
 
 
 ORACLE_JOIN_COMPOSITE = """

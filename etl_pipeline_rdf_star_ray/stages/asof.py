@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import shard_column
+from ..functions.hashing import shard_ids
 from .exchange import cluster_by_pid, exchange_apply
 
 
@@ -200,15 +200,11 @@ def asof_join_sharded(
     # unified column order: left cols, then value cols, then tags
     vtypes = {c: r_types[c] for c in value_cols}
 
-    def _shard_col(key_arr) -> pa.Array:
-        # int32 "partition_id": the block exchange's routing column
-        return shard_column(key_arr, num_shards)
-
     def tag_left(batch: pa.Table) -> pa.Table:
         cols = {c: batch.column(c) for c in left_names}
         for c in value_cols:
             cols[c] = pa.nulls(batch.num_rows, vtypes[c])
-        cols["partition_id"] = _shard_col(batch.column(by))
+        cols["partition_id"] = shard_ids(batch, [by], num_shards)
         cols["__side"] = pa.nulls(batch.num_rows, pa.int8()).fill_null(0)
         return cluster_by_pid(pa.table(cols))
 
@@ -222,7 +218,7 @@ def asof_join_sharded(
             )
         for c in value_cols:
             cols[c] = src[c]
-        cols["partition_id"] = _shard_col(src[by])
+        cols["partition_id"] = shard_ids(batch, [right_by], num_shards)
         cols["__side"] = pa.nulls(batch.num_rows, pa.int8()).fill_null(1)
         return cluster_by_pid(pa.table(cols))
 
@@ -290,6 +286,10 @@ def range_join_broadcast(
     of :func:`asof_join_sharded` with an explode step instead."""
     import ray
 
+    if by:
+        # a NULL key matches nothing (SQL ``=``); dropping those intervals
+        # also keeps the key array int64 (a null would float it)
+        intervals = intervals.filter(pc.is_valid(intervals.column(by)))
     sort_keys = ([(by, "ascending")] if by else []) + [(lo, "ascending")]
     iv = intervals.sort_by(sort_keys)
     iv_keys = iv.column(by).to_numpy(zero_copy_only=False) if by else None

@@ -74,7 +74,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from ..functions.hashing import splitmix64
+from ..functions.hashing import shard_ids
 from ..schema import concat_evolving
 from ..state.sink import commit_partition
 from .merge import lww_merge, merge_state_and_events
@@ -511,33 +511,35 @@ def exchange_ingest(
 # ---------------------------------------------------------------------------
 
 
-def pandas_block_apply(
-    t: pa.Table, fn, *, nullable_ints: bool = False
-) -> pa.Table:
+#: pandas nullable dtypes for Arrow's signed ints: a null-bearing int64
+#: column must never float (keys >= 2^53 would lose their identity)
+_NULLABLE_INTS = {
+    pa.int64(): pd.Int64Dtype(),
+    pa.int32(): pd.Int32Dtype(),
+    pa.int16(): pd.Int16Dtype(),
+    pa.int8(): pd.Int8Dtype(),
+}.get
+
+
+def pandas_block_apply(t: pa.Table, fn) -> pa.Table:
     """One Arrow→pandas→Arrow application under the shard plane's exactness
     contract (shared by :func:`sharded_groups`' shard task and map-side
     partial reducers — e.g. ``windows.argmax_rows`` — so both apply the
     identical conversion rules):
 
-    - ``nullable_ints=True`` maps integer columns to pandas nullable
-      extension dtypes so a null-bearing int64 column never floats
-      (2^53 identity corruption — ADVICE r3 / review r4);
+    - signed integer columns always arrive as pandas nullable extension
+      dtypes (``Int64`` …), so a null-bearing int64 column never floats
+      and ``fn`` sees NULL as ``pd.NA`` in every block alike;
     - metadata is stripped so every output block hashes to one schema;
     - a column that is ALL null in this block round-trips through pandas
       as Arrow ``null`` type — restore the input's declared type so every
       block carries the same schema (Ray's schema unification otherwise
       warns, and downstream Arrow kernels that dispatch on type, e.g.
-      ``is_in``/``index_in``, reject the block)."""
-    if nullable_ints:
-        mapper = {
-            pa.int64(): pd.Int64Dtype(),
-            pa.int32(): pd.Int32Dtype(),
-            pa.int16(): pd.Int16Dtype(),
-            pa.int8(): pd.Int8Dtype(),
-        }.get
-        g = t.to_pandas(types_mapper=mapper)
-    else:
-        g = t.to_pandas()
+      ``is_in``/``index_in``, reject the block).
+
+    The shard functions stay pandas because sessionization, rolling
+    windows and ``merge_asof`` have no pyarrow kernel."""
+    g = t.to_pandas(types_mapper=_NULLABLE_INTS)
     out = pa.Table.from_pandas(
         fn(g), preserve_index=False
     ).replace_schema_metadata(None)
@@ -555,31 +557,29 @@ def pandas_block_apply(
 
 def sharded_groups(
     ds: "ray.data.Dataset",
-    key_source,
+    keys: list[str],
     shard_fn,
     *,
     num_shards: int = 64,
-    nullable_ints: bool = False,
 ) -> "ray.data.Dataset":
     """Group-parallel processing WITHOUT per-group task overhead: rows are
-    hash-sharded on their group key (``key_source(batch) -> np.uint64``;
-    all rows of one group land in one shard), ``shard_fn`` runs once per
-    SHARD over :func:`exchange_apply` and does the fine-grained
-    per-group work with vectorized pandas inside. With tens of thousands of
-    tiny groups (LSH buckets, fingerprints) a per-group call would dominate
-    by 10×+; this pattern pushes the loop into C.
+    hash-sharded on the key columns ``keys`` (routing is
+    :func:`~..functions.hashing.shard_ids`, so all rows of one group land
+    in one shard whatever their block), ``shard_fn`` runs once per SHARD
+    over :func:`exchange_apply` and does the fine-grained per-group work
+    with vectorized pandas inside. With tens of thousands of tiny groups
+    (LSH buckets, fingerprints) a per-group call would dominate by 10×+;
+    this pattern pushes the loop into C.
 
-    ``shard_fn`` receives the pandas shard WITH its ``shard`` column.
-    Outputs convert to metadata-stripped Arrow blocks so every block
-    carries an identical hashable schema (pandas blocks make Ray's
-    schema-dedup log ``Failed to hash the schemas`` warnings)."""
+    ``shard_fn`` receives the pandas shard WITH its ``shard`` column,
+    converted by :func:`pandas_block_apply` (ints stay exact). A route
+    derived from values (not one or more plain columns) becomes a column
+    in the map step that feeds ``ds``."""
 
     def add_pid(batch: pa.Table) -> pa.Table:
-        h = splitmix64(key_source(batch))
         return cluster_by_pid(
             batch.append_column(
-                "partition_id",
-                pa.array((h % np.uint64(num_shards)).astype(np.int32)),
+                "partition_id", shard_ids(batch, keys, num_shards)
             ).replace_schema_metadata(None)
         )
 
@@ -587,8 +587,6 @@ def sharded_groups(
         names = [
             "shard" if c == "partition_id" else c for c in t.column_names
         ]
-        return pandas_block_apply(
-            t.rename_columns(names), shard_fn, nullable_ints=nullable_ints
-        )
+        return pandas_block_apply(t.rename_columns(names), shard_fn)
 
     return exchange_apply(ds.map_batches(add_pid, batch_format="pyarrow"), run)

@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import shard_column as _shard_col
+from ..functions.hashing import shard_ids
 from .exchange import cluster_by_pid, exchange_apply
 
 _SIDE = "__side"
@@ -322,25 +322,9 @@ def hash_join_sharded(
 
     hot_arr = pa.array(hot_list, l_types[ons[0]]) if hot_list else None
 
-    from ..functions.hashing import combine64, key_hash_column
-
-    def _composite_pid(key_cols: list) -> pa.Array:
-        h = None
-        for col in key_cols:
-            hc = key_hash_column(col)
-            h = hc if h is None else combine64(h, hc)
-        return pa.array(
-            (np.asarray(h, dtype=np.uint64) % np.uint64(num_shards)).astype(
-                np.int32
-            ),
-            pa.int32(),
-        )
-
-    def _salted_left_pid(key: pa.Array | pa.ChunkedArray) -> pa.Array:
-        base = _shard_col(key, num_shards)
-        if hot_arr is None:
-            return base
-        pid = base.to_numpy(zero_copy_only=False).astype(np.int64)
+    def _salted_left_pid(batch: pa.Table) -> pa.Array:
+        pid = shard_ids(batch, ons, num_shards).to_numpy().astype(np.int64)
+        key = batch.column(ons[0])
         # cyclic spread PER HOT KEY (a shared counter would bias the spread
         # when several hot keys interleave — e.g. strict alternation of two
         # hot keys gives each only every other bucket); hot keys are few by
@@ -371,9 +355,9 @@ def hash_join_sharded(
         for c in r_names:
             cols[out_r_names[c]] = pa.nulls(batch.num_rows, r_types[c])
         if hot_arr is not None:
-            cols[_PID] = _salted_left_pid(batch.column(ons[0]))
+            cols[_PID] = _salted_left_pid(batch)
         else:
-            cols[_PID] = _composite_pid([batch.column(c) for c in ons])
+            cols[_PID] = shard_ids(batch, ons, num_shards)
         cols[_SIDE] = pa.nulls(batch.num_rows, pa.int8()).fill_null(0)
         return cluster_by_pid(pa.table(cols))
 
@@ -388,33 +372,24 @@ def hash_join_sharded(
         tbl = pa.table(
             {**{out_r_names[c]: batch.column(c) for c in r_names}, **keys}
         )
+        offsets = None
         if hot_arr is not None:
-            key = tbl.column(ons[0])
-            # replicate each hot-key right row into every salted shard
-            hot = pc.is_in(key, value_set=hot_arr).fill_null(False)
-            hot_rows = tbl.filter(hot)
-            if hot_rows.num_rows:
-                n = hot_rows.num_rows
+            # replicate each hot-key right row into every salted shard:
+            # replicas go last and add their salt offset to the base shard
+            hot = pc.is_in(tbl.column(ons[0]), value_set=hot_arr).fill_null(
+                False
+            )
+            n = int(np.asarray(hot).sum())
+            if n:
                 take = np.repeat(np.arange(n), salt_buckets)
-                reps = hot_rows.take(pa.array(take, pa.int64()))
-                base = (
-                    _shard_col(reps.column(ons[0]), num_shards)
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64)
-                )
+                reps = tbl.filter(hot).take(pa.array(take, pa.int64()))
+                tbl = pa.concat_tables([tbl.filter(pc.invert(hot)), reps])
                 offsets = np.tile(np.arange(salt_buckets), n)
-                rep_pid = ((base + offsets) % num_shards).astype(np.int32)
-                cold = tbl.filter(pc.invert(hot))
-                cold_pid = _shard_col(cold.column(ons[0]), num_shards)
-                tbl = pa.concat_tables([cold, reps])
-                pid = pa.concat_arrays(
-                    [cold_pid.combine_chunks() if isinstance(cold_pid, pa.ChunkedArray) else cold_pid,
-                     pa.array(rep_pid, pa.int32())]
-                )
-            else:
-                pid = _shard_col(tbl.column(ons[0]), num_shards)
-        else:
-            pid = _composite_pid([tbl.column(c) for c in ons])
+        pid = shard_ids(tbl, ons, num_shards)
+        if offsets is not None:
+            p = pid.to_numpy().astype(np.int64)
+            p[len(p) - len(offsets):] += offsets
+            pid = pa.array((p % num_shards).astype(np.int32), pa.int32())
         n_out = tbl.num_rows
         for c in l_names:
             cols[c] = tbl.column(c) if c in keys else pa.nulls(n_out, l_types[c])

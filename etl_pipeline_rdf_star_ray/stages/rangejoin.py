@@ -49,7 +49,6 @@ def interval_join_sharded(
     """Inner keyed interval join (see module docstring). Emits every left
     column plus every right column (suffixed on name collision; the right
     key column is dropped — it equals the left key)."""
-    from ..functions.hashing import combine64, key_hash_column
     from .exchange import sharded_groups
 
     if width_us <= 0:
@@ -148,12 +147,6 @@ def interval_join_sharded(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
 
-    def shard_key(batch: pa.Table) -> np.ndarray:
-        return combine64(
-            key_hash_column(batch.column(on)),
-            key_hash_column(batch.column(_BUCKET)),
-        )
-
     out_cols = l_names + [out_r[c] for c in r_keep]
 
     def per_shard(s: pd.DataFrame) -> pd.DataFrame:
@@ -173,5 +166,5 @@ def interval_join_sharded(
         return m[out_cols]
 
     return sharded_groups(
-        tagged, shard_key, per_shard, num_shards=num_shards, nullable_ints=True
+        tagged, [on, _BUCKET], per_shard, num_shards=num_shards
     )

@@ -214,11 +214,7 @@ def distinct_set_op(
     # schema-drifting empty block
     return sharded_groups(
         both,
-        lambda b: np.bitwise_xor(
-            b.column("__fp_lo").to_numpy(zero_copy_only=False).astype(np.uint64),
-            b.column("__fp_hi").to_numpy(zero_copy_only=False).astype(np.uint64),
-        ),
+        ["__fp_lo", "__fp_hi"],
         per_shard,
         num_shards=num_shards,
-        nullable_ints=True,
     )

@@ -146,7 +146,7 @@ def test_partial_reduce_shrinks_exchange(ray_session):
         rd.from_arrow(tbl)
         .repartition(4)
         .map_batches(
-            lambda b: pandas_block_apply(b, best, nullable_ints=True),
+            lambda b: pandas_block_apply(b, best),
             batch_format="pyarrow",
         )
     )

@@ -32,18 +32,52 @@ def test_key_hash_batch_independent_above_2_53():
     clean = pa.array([BIG], pa.int64())
     with_null = pa.array([BIG, None], pa.int64())
     assert key_hash_column(clean)[0] == key_hash_column(with_null)[0]
+    # uint64 keys >= 2^63 (simhash band hashes, md5 halves) hash their bits
+    # instead of failing a checked cast to int64
+    big_u = pa.array([2**63 + 1, 2**64 - 1], pa.uint64())
+    big_u_null = pa.array([2**63 + 1, 2**64 - 1, None], pa.uint64())
+    h = key_hash_column(big_u_null)
+    assert list(key_hash_column(big_u)) == list(h[:2]) and h[2] == 0
+    assert h[0] != h[1]
 
 
 def test_group_key_hash_batch_independent_above_2_53():
-    # the sharded-combine hash must agree between null-free and null-bearing
-    # batches (same hazard as key_hash_column; _group_key_hash delegates)
-    from etl_pipeline_rdf_star_ray.pipelines.analytics import _group_key_hash
+    # shard_ids is the one routing rule of every sharded operator: a row's
+    # shard must not depend on the other rows of its batch (a NULL floats
+    # a numpy view of int64), on the string layout or on chunking
+    from etl_pipeline_rdf_star_ray.functions.hashing import shard_ids
 
-    clean = pa.table({"k": pa.array([BIG], pa.int64())})
-    with_null = pa.table({"k": pa.array([BIG, None], pa.int64())})
-    assert (
-        _group_key_hash(clean, ["k"])[0] == _group_key_hash(with_null, ["k"])[0]
-    )
+    s = ["a", "doc-b", "naïve-中文"]
+    cases = [
+        (pa.array([BIG, BIG + 2, 5], pa.int64()),
+         pa.array([BIG, BIG + 2, 5, None], pa.int64())),
+        (pa.array([2**63 + 1, 2**64 - 1], pa.uint64()),
+         pa.array([2**63 + 1, 2**64 - 1, None], pa.uint64())),
+        (pa.array(s, pa.string()), pa.array(s + [None], pa.large_string())),
+        (pa.array(s, pa.string()), pa.array(s + [None]).dictionary_encode()),
+        (pa.array([BIG, 7], pa.timestamp("us")),
+         pa.chunked_array([pa.array([BIG], pa.timestamp("us")),
+                           pa.array([7, None], pa.timestamp("us"))])),
+        (pa.array([18000, 19000], pa.date32()),
+         pa.array([18000, 19000, None], pa.date32())),
+    ]
+    tables = [(pa.table({"k": a}), pa.table({"k": b}), ["k"]) for a, b in cases]
+    # two-column key: int64 with a NULL elsewhere in the batch + strings
+    tables.append((
+        pa.table({"k": pa.array([BIG, 1], pa.int64()), "s": s[:2]}),
+        pa.table({
+            "k": pa.array([BIG, 1, None], pa.int64()),
+            "s": pa.array(s, pa.large_string()),
+        }),
+        ["k", "s"],
+    ))
+    for ta, tb, keys in tables:
+        n = ta.num_rows
+        for num_shards in (64, 2**31 - 1):
+            a = shard_ids(ta, keys, num_shards).to_pylist()
+            b = shard_ids(tb, keys, num_shards).to_pylist()
+            assert a == b[:n], (keys, ta.schema, tb.schema)
+            assert all(0 <= x < num_shards for x in b)
 
 
 def test_running_totals_null_value_sql_semantics(ray_session):
@@ -448,3 +482,67 @@ def test_interval_join_oracle_and_empty_sides(ray_session):
         width_us=10,
     )
     assert out.count() == 0
+
+
+def _session_events() -> tuple[pa.Table, pa.Table]:
+    """Two event blocks for user 2^53+1; only the first also holds a NULL
+    user (whose two events are 45 minutes apart: two sessions)."""
+    ts = pa.timestamp("us")
+    hour = 3_600_000_000
+    t1 = pa.table({
+        "user_id": pa.array([BIG, None, None, 5], pa.int64()),
+        "ts": pa.array([0, 0, 3 * hour // 4, hour], ts),
+        "event_id": pa.array([1, 2, 3, 4], pa.int64()),
+    })
+    t2 = pa.table({
+        "user_id": pa.array([BIG, BIG, 5], pa.int64()),
+        "ts": pa.array([hour // 6, 2 * hour, 2 * hour], ts),
+        "event_id": pa.array([5, 6, 7], pa.int64()),
+    })
+    return t1, t2
+
+
+def test_user_sessions_null_user_and_big_id_match_oracle(tmp_path):
+    # ORACLE_SESSIONS partitions by user_id, so the NULL user is one user;
+    # user 2^53+1 has events in both files and must come back as one row
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from etl_pipeline_rdf_star_ray.pipelines.analytics import user_sessions
+    from etl_pipeline_rdf_star_ray.queries import ORACLE_SESSIONS
+
+    events = tmp_path / "events.parquet"
+    events.mkdir()
+    t1, t2 = _session_events()
+    pq.write_table(t1, events / "part-0.parquet")
+    pq.write_table(t2, events / "part-1.parquet")
+    got = sorted(
+        ((r["user_id"], r["n_events"], r["n_sessions"])
+         for r in user_sessions(str(tmp_path), num_shards=64).take_all()),
+        key=str,
+    )
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW events AS SELECT * FROM '{events}/*.parquet'")
+    want = sorted(con.sql(ORACLE_SESSIONS).fetchall(), key=str)
+    assert got == want
+    assert (None, 2, 2) in got and (BIG, 3, 2) in got
+
+
+def test_sharded_groups_big_user_once_across_null_block():
+    # a raw ``user_id.to_numpy()`` shard key floats the block holding the
+    # NULL, so user 2^53+1 would land in two shards (two rows, n=1 and
+    # n=2); routing by column name hashes the exact int64 in both blocks
+    from etl_pipeline_rdf_star_ray.stages.exchange import sharded_groups
+
+    t1, t2 = _session_events()
+    out = sharded_groups(
+        rd.from_arrow([t1, t2]),
+        ["user_id"],
+        lambda s: s.groupby("user_id", sort=False, dropna=False)
+        .size()
+        .reset_index(name="n"),
+        num_shards=64,
+    ).take_all()
+    assert sorted(((r["user_id"], r["n"]) for r in out), key=str) == [
+        (5, 2), (BIG, 3), (None, 2)
+    ]

@@ -283,7 +283,7 @@ def test_running_totals_exact_beyond_2_53(ray_session):
 def test_running_totals_exact_beyond_2_53_odd_value_with_nulls(ray_session):
     """Review r4: a null-bearing int64 shard used to float through
     to_pandas BEFORE the Int64 cumsum, silently rounding odd values at
-    2^53+1. The nullable_ints conversion must preserve them exactly."""
+    2^53+1. The shard plane's nullable-int conversion must keep them exact."""
     odd = 2**53 + 1  # not representable in float64 (rounds to 2^53)
     t = pa.table(
         {

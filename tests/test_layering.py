@@ -1,8 +1,10 @@
 """Layering: the engine's lower layers (``stages/``, ``functions/``,
 ``state/``) never import from ``pipelines/`` — operators are built on the
-stages, not the other way round — and nothing outside ``state/`` touches a
+stages, not the other way round — nothing outside ``state/`` touches a
 ``_``-prefixed name of a ``state`` module: the lake's state rules are
-reached only through the state layer's public functions."""
+reached only through the state layer's public functions — and every
+``sharded_groups`` call routes by key column names, never by a callable:
+the shard plane has one routing rule."""
 
 import ast
 import pathlib
@@ -94,6 +96,59 @@ def test_no_private_state_names_outside_state():
         for use in _private_state_uses(path)
     ]
     assert not bad, "\n".join(bad)
+
+
+def _sharded_groups_keys(path: pathlib.Path) -> tuple[int, list[str]]:
+    """``(calls, bad)`` over the ``sharded_groups(...)`` calls in ``path``:
+    a call is bad unless its key argument is a list/tuple of string
+    literals and names, or one name — and no name is a function (a
+    ``def`` or a lambda assignment) of the module."""
+    tree = ast.parse(path.read_text())
+    funcs = {
+        n.name
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    } | {
+        t.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda)
+        for t in n.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def column_name(e: ast.AST) -> bool:
+        if isinstance(e, ast.Constant):
+            return isinstance(e.value, str)
+        return isinstance(e, ast.Name) and e.id not in funcs
+
+    calls, bad = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        if not name or name[-1] != "sharded_groups":
+            continue
+        calls += 1
+        key = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "keys"), None
+        )
+        if isinstance(key, (ast.List, ast.Tuple)):
+            ok = bool(key.elts) and all(map(column_name, key.elts))
+        else:
+            ok = isinstance(key, ast.Name) and column_name(key)
+        if not ok:
+            bad.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return calls, bad
+
+
+def test_sharded_groups_route_by_column_names():
+    """Static, because tier-1 executes only a few of the call sites."""
+    calls, bad = 0, []
+    for path in sorted(ROOT.rglob("*.py")):
+        c, b = _sharded_groups_keys(path)
+        calls, bad = calls + c, bad + b
+    assert calls >= 50, f"only {calls} sharded_groups calls found"
+    assert not bad, "key is not a list of column names:\n" + "\n".join(bad)
 
 
 def test_perfbench_tracer_names_exist(monkeypatch):

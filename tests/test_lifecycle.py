@@ -310,3 +310,37 @@ def test_jsonl_export_roundtrip_resume_determinism(ray_session, tmp_path):
     export_jsonl(relaid, str(root2), shard_key_col="doc_id", num_shards=8)
     after = {p.name: p.read_bytes() for p in root2.glob("shard-*.jsonl")}
     assert after == before
+
+
+def test_jsonl_export_resume_checks_hash_probe(ray_session, tmp_path, monkeypatch):
+    """String shard keys route through the xxh64 string hash, so every
+    ``_SUCCESS.<i>`` marker records its probe vector: a resume under a
+    different probe, or over a marker without one, raises instead of
+    skipping a shard that would now hold other rows."""
+    import json
+
+    from etl_pipeline_rdf_star_ray.functions import hashing
+    from etl_pipeline_rdf_star_ray.pipelines.export import export_jsonl
+
+    t = pa.table({"doc_id": [f"d{i}" for i in range(40)], "n": list(range(40))})
+    root = tmp_path / "jsonl"
+
+    def run():
+        return export_jsonl(
+            rd.from_arrow(t), str(root), shard_key_col="doc_id", num_shards=4
+        ).to_pandas()
+
+    assert not run()["skipped"].any()
+    markers = sorted(root.glob("_SUCCESS.*"))
+    probe = hashing.hash_probe("xxh64")
+    assert markers
+    assert all(json.loads(m.read_text())["hash_probe"] == probe for m in markers)
+    assert run()["skipped"].all()  # same probe: a plain resume
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hashing, "hash_probe", lambda *a, **k: [1, 2, 3, 4])
+        with pytest.raises(Exception, match="hash_probe mismatch"):
+            run()
+    markers[0].write_text(json.dumps({"rows": 1}))  # a probe-less marker
+    with pytest.raises(Exception, match="hash_probe mismatch"):
+        run()

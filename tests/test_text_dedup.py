@@ -1102,3 +1102,21 @@ def test_ivf_index_pruned_read(tmp_path, monkeypatch):
     brute = similarity.cosine_topk(_embs_ds(), q, k=5).to_pandas()
     assert full["vec_id"].tolist() == brute["vec_id"].tolist()
     assert np.array_equal(full["cosine"].values, brute["cosine"].values)
+
+
+def test_simhash_string_ids_match_int_ids():
+    """String ``doc_id``s route by their hash like any other key type: the
+    pairs equal the int-id run's pairs mapped through the id map."""
+    t = _docs().select(["doc_id", "text"])
+    ids = t.column("doc_id").to_pylist()
+    id_map = {i: f"doc-{i:x}" for i in ids}
+    st = t.set_column(0, "doc_id", pa.array([id_map[i] for i in ids]))
+
+    def pairs(tbl):
+        out = dedup.dedup_simhash(rd.from_arrow(tbl)).take_all()
+        return {(frozenset((r["id_a"], r["id_b"])), r["hamming"]) for r in out}
+
+    want = {
+        (frozenset(id_map[i] for i in ab), h) for ab, h in pairs(t)
+    }
+    assert want and pairs(st) == want
