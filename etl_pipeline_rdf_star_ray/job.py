@@ -56,16 +56,29 @@ def replay_job(
     report. Resume-safe: re-running continues from the committed watermark
     floor (see module docstring). ``ingest_kw`` is forwarded to
     :func:`pipelines.cdc.ingest` (num_partitions, salt_buckets, ...)."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from .pipelines.cdc import ingest
+    from .pipelines.cdc import footer_max_lsn, ingest, log_files
     from .state import manifest as mf
 
-    # One cheap pruned aggregate up front: the replay target. Lets chunked
-    # rounds distinguish "gap in LSN space" from "log exhausted".
-    max_lsn = rd.read_parquet(log_dir, columns=["lsn"]).max("lsn")
-    if max_lsn is None:
-        max_lsn = -1
+    # The replay target, from the log files' footers (a file without lsn
+    # statistics reads its lsn column). Lets chunked rounds distinguish
+    # "gap in LSN space" from "log exhausted".
+    max_lsn = -1
+    for path in log_files(log_dir):
+        hi = footer_max_lsn(path)
+        if hi is None:
+            hi = pc.max(pq.read_table(path, columns=["lsn"]).column("lsn")).as_py()
+        if hi is not None:
+            max_lsn = max(max_lsn, hi)
+
+    def floor() -> int:
+        if not os.path.exists(os.path.join(lake_dir, mf.META_FILE)):
+            return -1
+        return mf.watermark_floor(
+            mf.active_versions(lake_dir), mf.load_meta(lake_dir).num_partitions
+        )
 
     # The cursor re-derives from the lake's committed watermark floor, so a
     # resubmitted job starts where the last durable chunk ended. Advancing
@@ -76,7 +89,7 @@ def replay_job(
     rounds: list[dict] = []
     t_job = time.perf_counter()
     total_events = 0
-    cursor = mf.watermark_floor(lake_dir)
+    cursor = floor()
     while cursor < max_lsn and (max_rounds is None or len(rounds) < max_rounds):
         flt = pc.field("lsn") > cursor
         hi = max_lsn
@@ -96,7 +109,7 @@ def replay_job(
                 "sec": round(sec, 3),
                 "events_per_sec": int(events / sec) if sec > 0 else 0,
                 "lsn_cursor": cursor,
-                "wm_floor_after": mf.watermark_floor(lake_dir),
+                "wm_floor_after": floor(),
             }
         )
 

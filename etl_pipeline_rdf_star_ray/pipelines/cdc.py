@@ -1,12 +1,16 @@
 """The CDC ingest pipeline: change log → partitioned LWW upsert → exactly-once
 Parquet lake commit, with checkpoint/resume.
 
-Ray-Data lifecycle (SURVEY.md §3.4): the change log streams through a
-stateless partition+watermark ``map_batches`` stage that pid-clusters each
-block, the block exchange (``stages/exchange.py``) routes the blocks' runs
-by ``partition_id`` driver-side, and each partition merges with its current
-lake version and commits durably *inside the worker task* — only tiny
-manifest rows return to the driver. No stage materializes the full dataset.
+Ray-Data lifecycle (SURVEY.md §3.4): every change event passes a stateless
+partition+watermark stage that pid-clusters its block, the block exchange
+(``stages/exchange.py``) routes the blocks' runs by ``partition_id``
+driver-side, and each partition merges with its current lake version and
+commits durably *inside the worker task* — only tiny manifest rows return
+to the driver. No stage materializes the full dataset. A Ray Dataset log
+runs the stage as a ``map_batches`` operator; a list of log files (the
+tail path, :func:`tail_once`) runs it in one plain task per file, which
+reads only the rows past the lake's watermark floor and routes its block
+in the same task — no Ray Data execution per round.
 
 Replacing (not porting) the reference loop ``batch_cli.py:36-87`` +
 ``batch_manager.load_batch_from_file`` (``batch_manager.py:231-283``): what
@@ -21,7 +25,7 @@ import os
 from functools import partial
 
 import pyarrow as pa
-import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..schema import MANIFEST_SCHEMA
@@ -39,8 +43,46 @@ def _manifest_table(recs: list[mf.CommitRecord]) -> pa.Table:
     return pa.table(cols, schema=MANIFEST_SCHEMA)
 
 
+def log_files(log_dir: str) -> list[str]:
+    """The change log's files, sorted, as ``ray.data.read_parquet(log_dir)``
+    finds them: every file under ``log_dir``, recursively, except those
+    with a path component (below ``log_dir``) that starts with ``.`` or
+    ``_`` — a producer's in-flight ``.tmp`` file, ``_SUCCESS``."""
+    out = []
+    for root, dirs, files in os.walk(log_dir):
+        dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+        out += [
+            os.path.join(root, f) for f in files if not f.startswith((".", "_"))
+        ]
+    return sorted(out)
+
+
+def footer_max_lsn(path: str) -> int | None:
+    """The highest ``lsn`` a log file's Parquet footer vouches for, or None
+    when the footer cannot say: no row groups, no ``lsn`` column, or a row
+    group without ``lsn`` min/max statistics."""
+    md = pq.read_metadata(path)
+    cols = [md.schema.column(j).path for j in range(md.num_columns)]
+    if md.num_row_groups == 0 or "lsn" not in cols:
+        return None
+    j = cols.index("lsn")
+    hi = None
+    for i in range(md.num_row_groups):
+        st = md.row_group(i).column(j).statistics
+        if st is None or not st.has_min_max:
+            return None
+        hi = st.max if hi is None else max(hi, st.max)
+    return hi
+
+
+def _read_partitioned(path: str, floor: int, stage) -> pa.Table:
+    """One log file's rows past ``floor`` (row groups below it are pruned
+    at the read), through the partition stage."""
+    return stage(pq.read_table(path, filters=[("lsn", ">", floor)]))
+
+
 def ingest(
-    changelog: "rd.Dataset",
+    changelog: "rd.Dataset | list[str]",
     lake_dir: str,
     *,
     batch_id: str | None = None,
@@ -54,6 +96,12 @@ def ingest(
     Returns the manifest rows of this ingest (one per touched partition).
     Safe to re-run with the same input: the watermark filter drops all
     already-committed events and nothing is rewritten.
+
+    ``changelog`` is a Ray Dataset of change events, or a list of Parquet
+    log files. Files are read by one task each, which reads only rows above
+    the lake's watermark floor (:func:`manifest.watermark_floor`, from the
+    same manifest scan as the watermarks); a file whose footer shows every
+    ``lsn`` at or below the floor is not read at all.
 
     The partitioned log goes through the block exchange
     (``stages/exchange.exchange_ingest``): no sort shuffle; the touched
@@ -95,12 +143,21 @@ def ingest(
         watermarks=wm,
         key_hash=meta.key_hash,
     )
-    partitioned = changelog.map_batches(
-        # whole-block batches: one pid-clustered run per (block, pid), so
-        # the exchange routes O(partitions) slices per block instead of
-        # O(partitions x sub-batches)
-        stage, batch_format="pyarrow", batch_size=None
-    )
+    if isinstance(changelog, rd.Dataset):
+        partitioned = changelog.map_batches(
+            # whole-block batches: one pid-clustered run per (block, pid),
+            # so the exchange routes O(partitions) slices per block instead
+            # of O(partitions x sub-batches)
+            stage, batch_format="pyarrow", batch_size=None
+        )
+    else:
+        floor = mf.watermark_floor(versions, meta.num_partitions)
+        # a file the footer cannot vouch for (None) is always read
+        partitioned = [
+            partial(_read_partitioned, path, floor, stage)
+            for path in changelog
+            if (hi := footer_max_lsn(path)) is None or hi > floor
+        ]
 
     hooks = {}
     if detect:
@@ -177,12 +234,10 @@ def upsert_dataset(
 
 
 def tail_once(log_dir: str, lake_dir: str, **ingest_kw) -> pa.Table:
-    """One tailing round over a growing change-log directory: read only rows
-    past the lake's watermark floor (:func:`manifest.watermark_floor`;
-    row-group pushdown at the parquet read), then ingest. The per-partition
-    watermark filter inside :func:`ingest` handles the finer-grained dedup —
-    this pre-filter just prunes storage I/O (SURVEY.md 'prune at the
-    read')."""
-    floor = mf.watermark_floor(lake_dir)
-    ds = rd.read_parquet(log_dir, filter=pc.field("lsn") > floor)
-    return ingest(ds, lake_dir, **ingest_kw)
+    """One tailing round over a growing change-log directory: list its files
+    (:func:`log_files`) and :func:`ingest` them. The ingest reads only rows
+    past the lake's watermark floor — whole files by their footers, row
+    groups at the Parquet read (SURVEY.md 'prune at the read') — in one
+    task per file; its per-partition watermark filter handles the
+    finer-grained dedup."""
+    return ingest(log_files(log_dir), lake_dir, **ingest_kw)

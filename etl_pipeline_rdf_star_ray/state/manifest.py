@@ -230,16 +230,14 @@ def watermarks(lake_dir: str) -> dict[int, int]:
     return {p: r.lsn_hi for p, r in active_versions(lake_dir).items()}
 
 
-def watermark_floor(lake_dir: str) -> int:
-    """Lowest lsn every partition has committed through, or -1 while any
-    partition has no commit yet. A partition with no record has effective
-    watermark -1: after a crash that committed some partitions but never a
-    given partition's first commit, pruning a read at min(existing
-    watermarks) would drop that partition's events forever, so a read may
-    prune below this floor only."""
-    if not os.path.exists(os.path.join(lake_dir, META_FILE)):
+def watermark_floor(versions: dict[int, CommitRecord], num_partitions: int) -> int:
+    """Lowest lsn every one of the table's ``num_partitions`` partitions
+    has committed through, given its :func:`active_versions`, or -1 while
+    any partition has no commit yet. A partition with no record has
+    effective watermark -1: after a crash that committed some partitions
+    but never a given partition's first commit, pruning a read at
+    min(existing watermarks) would drop that partition's events forever,
+    so a read may prune below this floor only."""
+    if len(versions) < num_partitions:
         return -1
-    wm = watermarks(lake_dir)
-    if len(wm) < load_meta(lake_dir).num_partitions:
-        return -1
-    return min(wm.values())
+    return min(r.lsn_hi for r in versions.values())

@@ -431,8 +431,8 @@ def test_tail_growing_log(tmp_path):
 
 def test_one_manifest_scan_per_ingest(tmp_path, monkeypatch):
     """An ingest into an existing lake lists ``_manifest/`` once (watermarks
-    and prior files come from the same scan); ``tail_once`` adds one more
-    for its read floor."""
+    and prior files come from the same scan), and so does ``tail_once``:
+    its read floor comes from that scan too."""
     import pyarrow.parquet as pq
 
     log = tmp_path / "log"
@@ -449,7 +449,127 @@ def test_one_manifest_scan_per_ingest(tmp_path, monkeypatch):
     assert len(scans) == 1
     scans.clear()
     assert cdc.tail_once(str(log), lake, num_partitions=4).num_rows > 0
-    assert len(scans) == 2
+    assert len(scans) == 1
+
+
+def _spy_submitted(monkeypatch) -> list:
+    """Record the log files each ingest hands the exchange (its producers
+    are ``partial(_read_partitioned, path, ...)``)."""
+    from etl_pipeline_rdf_star_ray.stages import exchange
+
+    submitted = []
+    orig = exchange.exchange_ingest
+
+    def spy(partitioned, *args, **kwargs):
+        submitted.append([p.args[0] for p in partitioned])
+        return orig(partitioned, *args, **kwargs)
+
+    monkeypatch.setattr(exchange, "exchange_ingest", spy)
+    return submitted
+
+
+def test_tail_skips_files_at_or_below_floor(tmp_path, monkeypatch):
+    """A log file whose footer max lsn is at or below the watermark floor is
+    never handed to a task: a 30-file log tailed after 29 files are
+    committed submits exactly the last file. A file with no row groups, or
+    without lsn statistics, is always read."""
+    import pyarrow.parquet as pq
+
+    from etl_pipeline_rdf_star_ray.schema import CHANGELOG_SCHEMA
+
+    log = tmp_path / "log"
+    log.mkdir()
+    lake = str(tmp_path / "lake")
+    full = changelog_table(3000)
+    for i in range(29):
+        pq.write_table(full.slice(i * 100, 100), str(log / f"{i:03d}.parquet"))
+    # one partition: the floor is the last committed lsn
+    cdc.tail_once(str(log), lake, num_partitions=1)
+    pq.write_table(full.slice(2900, 100), str(log / "029.parquet"))
+    submitted = _spy_submitted(monkeypatch)
+    assert cdc.tail_once(str(log), lake).num_rows == 1
+    assert submitted == [[str(log / "029.parquet")]]
+
+    empty, nostats = str(log / "030.parquet"), str(log / "031.parquet")
+    pq.ParquetWriter(empty, CHANGELOG_SCHEMA).close()
+    pq.write_table(full.slice(0, 100), nostats, write_statistics=False)
+    assert pq.read_metadata(empty).num_row_groups == 0
+    assert cdc.footer_max_lsn(empty) is None
+    assert cdc.footer_max_lsn(nostats) is None
+    assert cdc.footer_max_lsn(str(log / "029.parquet")) == 2999
+    submitted.clear()
+    assert cdc.tail_once(str(log), lake).num_rows == 0
+    assert submitted == [[empty, nostats]]
+    got = state_table(lake).to_pandas().drop(columns=["partition_id"])
+    assert_frames_equal(got, oracle_replay(full))
+
+
+def test_tail_lists_log_like_read_parquet(tmp_path, monkeypatch):
+    """``tail_once`` finds the files ``ray.data.read_parquet(log_dir)``
+    would: recursively, skipping paths that start with ``.`` or ``_`` (an
+    in-flight producer file, ``_SUCCESS``), across a schema change. It runs
+    no Ray Data read at all, so a log of more than 24 files starts no
+    metadata tasks."""
+    import pyarrow.parquet as pq
+
+    log = tmp_path / "log"
+    (log / "late").mkdir(parents=True)
+    lake = str(tmp_path / "lake")
+    old = changelog_table(2600)
+    for i in range(26):
+        sub = log / "late" if i >= 20 else log
+        pq.write_table(old.slice(i * 100, 100), str(sub / f"{i:03d}.parquet"))
+    # an unfinished producer write and a commit marker: neither is log data
+    pq.write_table(changelog_table(50, lsn_start=9000), str(log / ".inflight"))
+    (log / "_SUCCESS").write_bytes(b"")
+
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("tail_once must not run a Ray Data read")
+
+    monkeypatch.setattr(rd, "read_parquet", no_ray_data)
+    cdc.tail_once(str(log), lake, num_partitions=4)
+    new = changelog_table(400, lsn_start=2600, with_tool_args=True)
+    pq.write_table(new, str(log / "late" / "026.parquet"))
+    assert cdc.tail_once(str(log), lake).num_rows > 0
+    assert len(cdc.log_files(str(log))) == 27
+
+    got = state_table(lake).to_pandas().drop(columns=["partition_id"])
+    want = pa.concat_tables([old, new], promote_options="default")
+    assert_frames_equal(got, oracle_replay(want))
+
+
+@pytest.mark.parametrize("transport", ["ranges", "slices"])
+def test_tail_file_tasks_match_dataset_ingest(tmp_path, transport):
+    """On a fresh lake the file-task tail path gives the same hot set and
+    the same commits (checksums included) as an ingest of the same files
+    as a Ray Dataset, on both transports."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    log = tmp_path / "log"
+    log.mkdir()
+    full = changelog_table(6000)
+    for i in range(3):
+        pq.write_table(full.slice(i * 2000, 2000), str(log / f"{i:03d}.parquet"))
+    lakes = {"tail": str(tmp_path / "tail"), "dataset": str(tmp_path / "ds")}
+    kw = {"num_partitions": 8, "batch_id": "b0", "transport": transport}
+    cdc.tail_once(str(log), lakes["tail"], **kw)
+    cdc.ingest(rd.read_parquet(cdc.log_files(str(log))), lakes["dataset"], **kw)
+
+    def lake_facts(lake):
+        with open(os.path.join(lake, mf.META_FILE)) as f:
+            hot = json.load(f)["hot_convs"]
+        recs = sorted(
+            (r.partition_id, r.checksum, r.row_count, r.event_count,
+             r.lsn_lo, r.lsn_hi)
+            for r in mf.load_records(lake)
+        )
+        return hot, recs
+
+    hot, recs = lake_facts(lakes["tail"])
+    assert hot  # the log has a hot conversation, so salting ran
+    assert (hot, recs) == lake_facts(lakes["dataset"])
 
 
 def test_tail_resume_after_partial_first_commit(tmp_path):

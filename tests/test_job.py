@@ -105,3 +105,27 @@ def test_replay_job_unbounded_single_round(tmp_path):
     assert_frames_equal(
         state_table(lake).to_pandas().drop(columns=["partition_id"]), oracle_replay(t)
     )
+
+
+def test_replay_job_max_lsn_from_footers(tmp_path):
+    """The replay target comes from the log files' Parquet footers; a file
+    without lsn statistics has its lsn column read, and an empty file adds
+    nothing. It equals the pyarrow max over the whole log."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from etl_pipeline_rdf_star_ray.schema import CHANGELOG_SCHEMA
+
+    log, t = _write_log(tmp_path)
+    pq.ParquetWriter(f"{log}/002.parquet", CHANGELOG_SCHEMA).close()
+    tail = changelog_table(500, lsn_start=N)
+    pq.write_table(tail, f"{log}/003.parquet", write_statistics=False)
+    whole = pa.concat_tables([t, tail])
+    lake = str(tmp_path / "lake")
+    rep = replay_job(log, lake, chunk_lsns=1000, num_partitions=4)
+    assert rep["max_lsn"] == pc.max(whole.column("lsn")).as_py() == N + 499
+    assert rep["total_events"] == whole.num_rows
+    assert_frames_equal(
+        state_table(lake).to_pandas().drop(columns=["partition_id"]),
+        oracle_replay(whole),
+    )
